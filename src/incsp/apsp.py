@@ -14,8 +14,8 @@ from bisect import bisect_right
 from dataclasses import replace
 
 from .bucketing import derive_internal_epsilon, make_table
-from .model import UNREACHABLE, EdgeInsert, ProblemInstance, align_prediction, prepare_for_build
-from .offline import OfflineStructure, _dijkstra_adj, build_offline
+from .model import UNREACHABLE, EdgeInsert, ProblemInstance, align_prediction, check_edge, prepare_for_build
+from .offline import OfflineStructure, build_offline, dijkstra
 
 
 class ApspStructure:
@@ -76,6 +76,8 @@ class OnlineApsp:
         self.last_patch_vertices = 0
 
     def insert(self, edge: EdgeInsert) -> None:
+        """Record one true arrival; a rejected arrival leaves the engine unchanged."""
+        check_edge(edge, self.n, self.instance.W)
         if self.t >= self.m:
             raise ValueError("more than m insertions")
         if edge.edge_id in self._arrived_ids:
@@ -83,6 +85,8 @@ class OnlineApsp:
         p = self.prediction.position_of(edge.edge_id)
         if p > self.m:
             raise ValueError("arriving edge is not part of the predicted permutation")
+        if self.prediction[p - 1].triple != edge.triple:
+            raise ValueError("arriving edge conflicts with its predicted description")
         self._arrived_ids.add(edge.edge_id)
         self._arrived_flags[p] = True
         # Hand-rolled insertion point search so the comparison count is
@@ -138,5 +142,5 @@ class OnlineApsp:
                     w = dw
                 if w != UNREACHABLE:
                     adj[u].append((v, w))
-        dist = _dijkstra_adj(adj, i)
+        dist = dijkstra(adj, i)
         return dist.get(j, UNREACHABLE)

@@ -42,6 +42,14 @@ class EdgeInsert:
         return (self.tail, self.head, self.weight)
 
 
+def check_edge(edge: EdgeInsert, n: int, W: int) -> None:
+    """Raise ValueError unless the edge joins vertices in [0, n) with a weight in [1, W]."""
+    if not (0 <= edge.tail < n and 0 <= edge.head < n):
+        raise ValueError("vertex id out of range")
+    if not 1 <= edge.weight <= W:
+        raise ValueError("weight out of range")
+
+
 class InsertSequence:
     """An ordered edge timeline with 1-based positional lookup.
 
@@ -247,19 +255,30 @@ def align_prediction(pred_edges: list[EdgeInsert], instance: ProblemInstance) ->
     instance's own padding edges, so a prediction that matched the raw
     timeline stays position-for-position identical after padding, then
     fall back to fresh self-loops that will never arrive.
+
+    A prediction numbered against the unpadded timeline may give an
+    unpredicted edge an id that padding took later; such an edge is
+    renumbered so that it stays distinct from the padding edge.
     """
     m = instance.m
     out = list(pred_edges[:m])
-    present = {e.edge_id for e in out}
-    if len(present) != len(out):
+    if len({e.edge_id for e in out}) != len(out):
         raise ValueError("duplicate edge id within a prediction")
-    for dummy in instance.sigma.edges[instance.sigma.real_len:]:
+    padding = instance.sigma.edges[instance.sigma.real_len:]
+    padding_triples = {d.edge_id: d.triple for d in padding}
+    next_id = max(instance.sigma.max_edge_id(), max((e.edge_id for e in out), default=-1)) + 1
+    for i, e in enumerate(out):
+        triple = padding_triples.get(e.edge_id)
+        if triple is not None and triple != e.triple:
+            out[i] = EdgeInsert(next_id, *e.triple)
+            next_id += 1
+    present = {e.edge_id for e in out}
+    for dummy in padding:
         if len(out) >= m:
             break
         if dummy.edge_id not in present:
             out.append(dummy)
             present.add(dummy.edge_id)
-    next_id = max(instance.sigma.max_edge_id(), max((e.edge_id for e in out), default=-1)) + 1
     while len(out) < m:
         out.append(EdgeInsert(next_id, instance.source, instance.source, 1))
         next_id += 1

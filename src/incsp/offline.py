@@ -12,9 +12,17 @@ so a vertex can only be alive where its rounded estimate actually moves,
 which keeps the total alive work near-linear.
 
 Anchors: time m stores exact distances over the full timeline, time 0 is
-implicit (0 at the source, unreachable elsewhere).  Both ends of every
-interval are midpoints of shallower nodes or anchors, so estimate lookups
-resolve along the ancestor chain, whose alive flags are monotone.
+implicit (0 at the source, unreachable elsewhere).  One end of every
+interval is the parent's midpoint and the other a shallower ancestor's or
+an anchor, so a vertex alive at a node is alive at every ancestor.  The
+solver therefore carries one estimate array down the recursion: entry v
+holds v's estimate at its deepest alive strict ancestor of the current
+node, or the time-m anchor when no ancestor has it alive.  A node writes
+its fresh estimates into the array before recursing and restores the old
+entries afterwards, so whether a vertex is alive at an interval end is a
+dict hit on the end node and a dead tail's estimate at mid is one array
+read.  estimate_at resolves the same value independently, by binary
+search over the ancestor chain.
 
 Query tables: while solving, each vertex records the earliest time its
 estimate entered each coarse grid cell.  After a fill-and-floor pass the
@@ -101,29 +109,14 @@ class BuildStats:
         self.nodes_solved += 1
 
 
-def _dijkstra_adj(adj, source):
-    """Plain heap Dijkstra over a dict-of-lists adjacency; returns a dist dict."""
+def dijkstra(adj, source: int) -> dict[int, float]:
+    """Heap Dijkstra from source; distances of the reached vertices only.
+
+    adj[u] lists (head, weight) pairs and must exist for every reachable u,
+    so a list of lists or a dict keyed by the patch vertices both work.
+    Integer weights give integer distances.
+    """
     dist = {source: 0}
-    heap = [(0, source)]
-    while heap:
-        d, u = heappop(heap)
-        if d > dist.get(u, UNREACHABLE):
-            continue
-        for v, w in adj.get(u, ()):
-            nd = d + w
-            if nd < dist.get(v, UNREACHABLE):
-                dist[v] = nd
-                heappush(heap, (nd, v))
-    return dist
-
-
-def exact_prefix_distances(edges, n: int, source: int):
-    """Exact distances over the given edges; integer arithmetic throughout."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for e in edges:
-        adj[e.tail].append((e.head, e.weight))
-    dist: list[float] = [UNREACHABLE] * n
-    dist[source] = 0
     heap = [(0, source)]
     while heap:
         d, u = heappop(heap)
@@ -131,7 +124,7 @@ def exact_prefix_distances(edges, n: int, source: int):
             continue
         for v, w in adj[u]:
             nd = d + w
-            if nd < dist[v]:
+            if nd < dist.get(v, UNREACHABLE):
                 dist[v] = nd
                 heappush(heap, (nd, v))
     return dist
@@ -150,7 +143,7 @@ class OfflineStructure:
         self.source = instance.source
         self.epsilon_input = instance.epsilon
         self.table = table
-        self.seq = instance.sigma  # any object with position_of() and ids()
+        self.seq = instance.sigma  # iterable of edges with position_of() and ids()
         self.edges_by_id: dict[int, EdgeInsert] = {e.edge_id: e for e in instance.sigma}
         self.nodes: list[RecursionNode | None] = [None] * m
         self.base_m: list[float] = []
@@ -162,11 +155,6 @@ class OfflineStructure:
         self.stats = BuildStats(self.n, m)
 
     # -- estimate resolution -------------------------------------------------
-
-    def _anchor_estimate(self, v: int, t: int) -> float:
-        if t == 0:
-            return 0 if v == self.source else UNREACHABLE
-        return self.base_m[v]
 
     def _resolve_above(self, v: int, t: int) -> float:
         """Estimate of v at time t for v dead at the node owning t.
@@ -193,8 +181,10 @@ class OfflineStructure:
             raise ValueError("time out of range")
         if not 0 <= v < self.n:
             raise ValueError("vertex id out of range")
-        if t == 0 or t == self.m:
-            return self._anchor_estimate(v, t)
+        if t == 0:
+            return 0 if v == self.source else UNREACHABLE
+        if t == self.m:
+            return self.base_m[v]
         node = self.nodes[t]
         est = node.alive_estimates.get(v)
         if est is not None:
@@ -203,43 +193,45 @@ class OfflineStructure:
 
     # -- solving -------------------------------------------------------------
 
-    def _endpoint(self, v: int, t: int, node: RecursionNode | None) -> tuple[bool, float]:
-        """(alive, estimate) of v at an interval end; ends are anchors or ancestors."""
-        if node is None:
-            return True, self._anchor_estimate(v, t)
-        est = node.alive_estimates.get(v)
-        if est is not None:
-            return True, est
-        return False, self._resolve_above(v, t)
-
-    def _solve(self, lo: int, hi: int, edges_hi: list[int], sink, update_entry: bool) -> None:
+    def _solve(
+        self,
+        lo: int,
+        hi: int,
+        lo_est: dict[int, float],
+        hi_est: dict[int, float],
+        edges_hi: list[int],
+        above: list[float],
+        sink,
+        update_entry: bool,
+    ) -> None:
         """Solve the node covering [lo, hi] and recurse into its children.
 
-        edges_hi lists the alive edges at time hi; alive edges here are a
-        subset of those, and the right child filters from the same list.
+        lo_est and hi_est map the vertices alive at each interval end to
+        their estimates there; a vertex missing from either is dead here.
+        above[v] is v's estimate at its deepest alive strict ancestor (the
+        time-m anchor when there is none), which is where a dead tail's
+        estimate at mid settles.  The node's fresh estimates become the
+        children's inner ends and are written into above for the recursion,
+        then restored.  edges_hi lists the alive edges at time hi; alive
+        edges here are a subset of those, and the right child filters from
+        the same list.
         """
         mid = (lo + hi) // 2
-        node_lo = self.nodes[lo] if lo > 0 else None
-        node_hi = self.nodes[hi] if hi < self.m else None
         pos = self.seq.position_of
         edges_of = self.edges_by_id
 
-        alive: dict[int, bool] = {}
-        alive_edges: list[int] = []
-        for eid in edges_hi:
-            v = edges_of[eid].head
-            state = alive.get(v)
-            if state is None:
-                alive_lo, est_lo = self._endpoint(v, lo, node_lo)
-                if alive_lo:
-                    alive_hi, est_hi = self._endpoint(v, hi, node_hi)
-                    state = alive_hi and est_lo != est_hi
-                else:
-                    state = False
-                alive[v] = state
-            if state and pos(eid) <= mid:
-                alive_edges.append(eid)
-        alive_set = {v for v, a in alive.items() if a}
+        heads = [edges_of[eid].head for eid in edges_hi]
+        alive_set = set()
+        for v in set(heads):
+            est_lo = lo_est.get(v)
+            if est_lo is not None:
+                est_hi = hi_est.get(v)
+                if est_hi is not None and est_lo != est_hi:
+                    alive_set.add(v)
+        alive_edges = [
+            eid for eid, v in zip(edges_hi, heads) if v in alive_set and pos(eid) <= mid
+        ]
+        del heads  # right children share edges_hi, so each frame would pin a copy
 
         # Patch graph: alive tails copy their edge, dead tails fold into the
         # source using their settled estimate at mid (resolved strictly above
@@ -248,17 +240,13 @@ class OfflineStructure:
         adj: dict[int, list[tuple[int, float]]] = {v: [] for v in alive_set}
         adj.setdefault(src, [])
         best_from_source: dict[int, float] = {}
-        dead_tail_cache: dict[int, float] = {}
         for eid in alive_edges:
             e = edges_of[eid]
             u = e.tail
             if u in alive_set:
                 adj[u].append((e.head, e.weight))
                 continue
-            du = dead_tail_cache.get(u)
-            if du is None:
-                du = 0 if u == src else self._resolve_above(u, mid)
-                dead_tail_cache[u] = du
+            du = above[u]
             if du == UNREACHABLE:
                 continue
             length = du + e.weight
@@ -268,7 +256,7 @@ class OfflineStructure:
         for v, length in best_from_source.items():
             adj[src].append((v, length))
 
-        dist = _dijkstra_adj(adj, src)
+        dist = dijkstra(adj, src)
         table = self.table
         estimates: dict[int, float] = {}
         rows = self.entry_times
@@ -290,21 +278,42 @@ class OfflineStructure:
         )
         sink.node_solved(mid, len(edges_hi), len(alive_edges), alive_set)
         if hi - lo > 2:
-            self._solve(lo, mid, alive_edges, sink, update_entry)
-            self._solve(mid, hi, edges_hi, sink, update_entry)
+            undo = [above[v] for v in estimates]
+            for v, value in estimates.items():
+                above[v] = value
+            self._solve(lo, mid, lo_est, estimates, alive_edges, above, sink, update_entry)
+            self._solve(mid, hi, estimates, hi_est, edges_hi, above, sink, update_entry)
+            for v, value in zip(estimates, undo):
+                above[v] = value
 
     def resolve_subtree(self, lo: int, hi: int, sink, update_entry: bool = False) -> None:
         """(Re)solve the node covering [lo, hi] and all of its descendants."""
-        if hi == self.m:
+        m = self.m
+        if lo == 0:
+            lo_est = dict.fromkeys(range(self.n), UNREACHABLE)
+            lo_est[self.source] = 0
+        else:
+            lo_est = self.nodes[lo].alive_estimates
+        if hi == m:
+            hi_est = dict(enumerate(self.base_m))
             edges_hi = self.seq.ids()
         else:
+            hi_est = self.nodes[hi].alive_estimates
             edges_hi = self.nodes[hi].alive_edges
-        self._solve(lo, hi, edges_hi, sink, update_entry)
+        # Ancestors root first, so each vertex ends on its deepest alive one.
+        above = list(self.base_m)
+        for t in time_ancestors((lo + hi) // 2, m):
+            for v, est in self.nodes[t].alive_estimates.items():
+                above[v] = est
+        self._solve(lo, hi, lo_est, hi_est, edges_hi, above, sink, update_entry)
 
     def recompute_base(self) -> bool:
         """Refresh the exact distances at time m; True when anything moved."""
-        edges = [self.edges_by_id[eid] for eid in self.seq.ids()]
-        new = exact_prefix_distances(edges, self.n, self.source)
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+        for e in self.seq:
+            adj[e.tail].append((e.head, e.weight))
+        dist = dijkstra(adj, self.source)
+        new = [dist.get(v, UNREACHABLE) for v in range(self.n)]
         changed = new != self.base_m
         self.base_m = new
         return changed
@@ -380,7 +389,7 @@ def build_offline(
     ):
         raise ValueError("bucket table does not match the instance")
     structure = OfflineStructure(instance, table, with_entry_times)
-    structure.base_m = exact_prefix_distances(list(instance.sigma), instance.n, instance.source)
+    structure.recompute_base()
     if with_entry_times:
         structure._record_anchor_entries()
     structure.resolve_subtree(0, structure.m, structure.stats, update_entry=with_entry_times)

@@ -19,7 +19,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .model import UNREACHABLE, EdgeInsert, InsertSequence, ProblemInstance, align_prediction, prepare_for_build
+from .model import (
+    UNREACHABLE,
+    EdgeInsert,
+    InsertSequence,
+    ProblemInstance,
+    align_prediction,
+    check_edge,
+    prepare_for_build,
+)
 from .offline import OfflineStructure, build_offline, shallowest_midpoint, structures_equal
 
 
@@ -170,6 +178,8 @@ class OnlineEngine:
         return self.D[v]
 
     def insert(self, edge: EdgeInsert) -> InsertReport:
+        """Apply one true arrival; a rejected arrival leaves the engine unchanged."""
+        check_edge(edge, self.n, self.instance.W)
         if self.t >= self.m:
             raise ValueError("more than m insertions")
         if edge.edge_id in self._arrived:
@@ -183,7 +193,8 @@ class OnlineEngine:
         t_prime = self.timeline.position_of(edge.edge_id)
         # Positions 1..t-1 hold exactly the arrived edges, so an unarrived
         # edge can never sit at a position below t.
-        assert t_prime >= t
+        if t_prime < t:
+            raise ValueError("an unarrived edge sits among the arrived prefix")
 
         if t_prime == t:
             case = "match"

@@ -1,6 +1,7 @@
 import pytest
 
 from incsp.model import align_prediction, parse_instance, prepare_for_build
+from incsp.offline import time_ancestors
 
 # Worked micro-instance used across the suite: 3 vertices, 4 inserts,
 # W=8, epsilon=1.0, source 0.  Exact distances per prefix are frozen in
@@ -21,6 +22,20 @@ T1_ORACLE_ROWS = [
     [0, 4, 6],
     [0, 1, 3],
 ]
+
+
+def assert_alive_sets_nested(structure):
+    """Every internal node's alive vertices are alive at its parent too.
+
+    The solver's estimate array relies on this: a vertex dead at a node's
+    end is dead below it, so its deepest alive ancestor is well defined.
+    """
+    m = structure.m
+    for mid in range(1, m):
+        chain = time_ancestors(mid, m)
+        if chain:
+            parent = structure.nodes[chain[-1]]
+            assert structure.nodes[mid].alive_estimates.keys() <= parent.alive_estimates.keys(), mid
 
 
 @pytest.fixture

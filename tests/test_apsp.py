@@ -162,6 +162,38 @@ def test_online_insert_validation():
         online.insert(EdgeInsert(71, 2, 0, 1))
 
 
+def _apsp_state(online):
+    return (
+        online.t,
+        online.frontier,
+        list(online._arrived_positions),
+        set(online._arrived_ids),
+        [e.edge_id for e in online.pending_edges()],
+    )
+
+
+@pytest.mark.parametrize(
+    "tail, head, weight",
+    [(0, 1, 0), (-1, 1, 2), (0, 1, 99), (0, 3 + 5, 2), (1, 0, 2)],
+    ids=["weight-0", "tail-negative", "weight-above-W", "head-out-of-range", "conflict"],
+)
+def test_online_insert_rejects_bad_edge_without_mutation(tail, head, weight):
+    # the bad edge reuses a predicted id, so only the description can reject it
+    inst = _three_edge_instance()
+    padded = prepare_for_build(inst)
+    edges = list(padded.sigma)
+    online = OnlineApsp(inst, list(padded.sigma))
+    online.insert(edges[1])
+    before = _apsp_state(online)
+    with pytest.raises(ValueError):
+        online.insert(EdgeInsert(edges[0].edge_id, tail, head, weight))
+    assert _apsp_state(online) == before
+    for edge in [edges[0]] + edges[2:]:
+        online.insert(edge)
+    assert online.frontier == online.m
+    assert 5 <= online.query(0, 2) <= 5 * (1 + inst.epsilon)
+
+
 # -- online correctness and patch bounds ---------------------------------------------
 
 

@@ -69,6 +69,20 @@ def test_perturb_writes_prediction_and_profile(capsys, t1_file, tmp_path):
     assert len(lines) == 4
 
 
+def test_perturb_profile_matches_metrics_on_padded_replace(capsys, write_instance, tmp_path):
+    # m = 6 pads to 8, and replacement edges are numbered before padding
+    _, text = run(capsys, "gen", "--n", "5", "--m", "6", "--W", "3", "--seed", "4")
+    inst = write_instance(text)
+    pred = tmp_path / "pred.edges"
+    _, doc = run_json(
+        capsys, "perturb", "--input", inst, "--kind", "replace",
+        "--p", "0.3", "--seed", "1", "--out", str(pred),
+    )
+    _, again = run_json(capsys, "metrics", "--input", inst, "--pred", str(pred))
+    assert doc["profile"] == again["profile"]
+    assert doc["profile"]["hamming"] == 2
+
+
 # -- offline -----------------------------------------------------------------------
 
 

@@ -167,6 +167,19 @@ def test_align_truncates_long_prediction(t1_padded):
     assert list(aligned) == list(t1_padded.sigma)
 
 
+def test_align_renumbers_phantom_holding_a_padding_id():
+    inst = parse_instance("3 3 4 1.0 0\n0 1 2\n1 2 3\n0 2 4\n")
+    padded = prepare_for_build(inst)
+    assert padded.sigma[3].edge_id == 3  # the padding self-loop
+    # a replaced edge numbered against the unpadded timeline, as perturb does
+    phantom = EdgeInsert(3, 2, 0, 1)
+    pred = [inst.sigma[0], phantom, inst.sigma[2]]
+    aligned = align_prediction(pred, padded)
+    assert [e.triple for e in aligned] == [(0, 1, 2), (2, 0, 1), (0, 2, 4), (0, 0, 1)]
+    assert aligned[1].edge_id not in set(padded.sigma.ids())
+    assert aligned[3] == padded.sigma[3]
+
+
 def test_serialize_prediction_round_trips(t1_padded):
     edges = list(t1_padded.sigma)
     text = serialize_prediction(edges)

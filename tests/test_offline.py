@@ -13,7 +13,7 @@ from incsp.offline import (
 )
 from incsp.oracle import exact_distance_table, verify_offline
 from incsp.workload import generate
-from tests.conftest import T1_ORACLE_ROWS
+from tests.conftest import T1_ORACLE_ROWS, assert_alive_sets_nested
 
 
 # -- tree navigation ----------------------------------------------------------
@@ -209,6 +209,13 @@ def test_alive_edges_are_subsets_of_hi_side(random_case):
         # every alive vertex is the head of an edge alive at the hi side
         hi_heads = {heads[eid] for eid in reference}
         assert set(node.alive_estimates) <= hi_heads
+
+
+def test_alive_sets_nested_along_parents(random_case):
+    _, s, _ = random_case
+    assert_alive_sets_nested(s)
+    wide = build_offline(prepare_for_build(generate(n=40, m=512, W=16, seed=8, epsilon=0.2)))
+    assert_alive_sets_nested(wide)
 
 
 def test_alive_edges_arrive_by_midpoint(random_case):

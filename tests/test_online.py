@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from incsp.model import (
     UNREACHABLE,
@@ -17,7 +19,7 @@ from incsp.online import (
 )
 from incsp.oracle import exact_distance_table
 from incsp.workload import PerturbationSpec, generate, perturb
-from tests.conftest import T1_ORACLE_ROWS
+from tests.conftest import T1_ORACLE_ROWS, assert_alive_sets_nested
 
 
 # -- prediction timeline bookkeeping -------------------------------------------
@@ -193,6 +195,60 @@ def test_conflicting_description_rejected(t1_padded, t1_permuted):
         engine.insert(EdgeInsert(0, 0, 1, 7))
 
 
+def test_unarrived_edge_below_t_raises_value_error(t1_padded, t1_permuted):
+    # Forgetting an arrival puts an unarrived edge inside the arrived prefix;
+    # the check must raise ValueError, which survives python -O.
+    engine = OnlineEngine(t1_padded, t1_permuted)
+    first = t1_padded.sigma[0]
+    engine.insert(first)
+    engine._arrived.clear()
+    with pytest.raises(ValueError, match="arrived prefix"):
+        engine.insert(first)
+
+
+W4_TEXT = "3 3 4 1.0 0\n0 1 2\n1 2 3\n0 2 4\n"
+
+
+def _engine_state(engine):
+    s = engine.structure
+    return (
+        engine.t,
+        engine.D[:],
+        engine.timeline.ids(),
+        sorted(s.edges_by_id),
+        s.base_m[:],
+        [id(node) for node in s.nodes],
+        dict(engine.counters.case_counts),
+        engine.counters.total_jumps,
+        engine.counters.nodes_rebuilt,
+    )
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        EdgeInsert(100, 0, 1, 0),
+        EdgeInsert(100, -1, 1, 2),
+        EdgeInsert(100, 0, 1, 99),
+        EdgeInsert(100, 0, 3 + 5, 2),
+    ],
+    ids=["weight-0", "tail-negative", "weight-above-W", "head-out-of-range"],
+)
+def test_invalid_arrival_rejected_without_mutation(bad):
+    inst = prepare_for_build(parse_instance(W4_TEXT))
+    engine = OnlineEngine(inst, align_prediction(list(inst.sigma), inst))
+    edges = list(inst.sigma)
+    engine.insert(edges[0])
+    before = _engine_state(engine)
+    with pytest.raises(ValueError):
+        engine.insert(bad)
+    assert _engine_state(engine) == before
+    for edge in edges[1:]:
+        engine.insert(edge)
+    assert engine.D == [0, 2, 4]
+    assert engine.matches_fresh_build()
+
+
 def test_prediction_length_must_match(t1_padded, t1_edges):
     short = InsertSequence(t1_edges[:2])
     with pytest.raises(ValueError, match="length"):
@@ -274,6 +330,52 @@ def test_fresh_equality_random_all_kinds():
             assert engine.matches_fresh_build(), kind
 
 
+def test_alive_sets_nested_after_replay_all_kinds():
+    inst = generate(n=12, m=128, W=8, seed=29, epsilon=0.5)
+    for kind, kwargs in [
+        ("identity", {}),
+        ("window_shuffle", {"k": 8}),
+        ("relocate", {"p": 0.05}),
+        ("replace", {"p": 0.05}),
+    ]:
+        padded, engine = _replay(inst, kind, **kwargs)
+        for edge in padded.sigma:
+            engine.insert(edge)
+        assert_alive_sets_nested(engine.structure)
+
+
+perturbations = st.one_of(
+    st.builds(
+        lambda seed, k: PerturbationSpec("window_shuffle", seed=seed, k=k),
+        st.integers(0, 999),
+        st.integers(1, 16),
+    ),
+    st.builds(
+        lambda kind, seed, p: PerturbationSpec(kind, seed=seed, p=p),
+        st.sampled_from(["relocate", "replace"]),
+        st.integers(0, 999),
+        st.sampled_from([0.05, 0.1, 0.3]),
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(4, 12),
+    m=st.integers(2, 64),
+    spec=perturbations,
+)
+def test_D_matches_structure_after_every_arrival(seed, n, m, spec):
+    inst = generate(n=n, m=m, W=6, seed=seed, epsilon=0.5)
+    engine = start_online(inst, perturb(inst, spec))
+    s = engine.structure
+    for edge in engine.instance.sigma:
+        engine.insert(edge)
+        assert engine.D == [s.estimate_at(v, engine.t) for v in range(engine.n)]
+    assert_alive_sets_nested(s)
+
+
 def test_case_counts_partition_the_run():
     inst = generate(n=8, m=16, W=6, seed=17, epsilon=1.0)
     padded, engine = _replay(inst, "replace", p=0.3)
@@ -290,6 +392,16 @@ def test_start_online_defaults_to_identity():
         report = engine.insert(edge)
         assert report.case == "match"
     assert engine.counters.nodes_rebuilt == 0
+
+
+def test_start_online_replace_on_unpadded_instance():
+    # perturb numbers replacement edges from the unpadded timeline, so the
+    # first one used to collide with the padding self-loop's id
+    inst = generate(n=4, m=3, W=6, seed=0, epsilon=0.5)
+    engine = start_online(inst, perturb(inst, PerturbationSpec("replace", seed=0, p=0.05)))
+    for edge in engine.instance.sigma:
+        engine.insert(edge)
+    assert engine.matches_fresh_build()
 
 
 def test_start_online_with_prediction():
