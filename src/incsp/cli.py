@@ -239,8 +239,9 @@ def cmd_online(args) -> int:
             "total_jumps": counters.total_jumps,
             "jumps_per_position": counters.jumps_per_position[1 : padded.m + 1],
             "nodes_rebuilt": counters.nodes_rebuilt,
+            "nodes_skipped": counters.sink.nodes_skipped,
             "rebuilds_by_level": _rebuilds_by_level(counters.sink.rebuilds_per_node, padded.m),
-            "full_rebuilds": counters.full_rebuilds,
+            "full_rebuilds": counters.full_rebuilds,  # root passes after base_m moved
             "alive_edge_work": counters.alive_edge_work,
             "scan_work": counters.sink.scan_work,
             "d_writes": counters.d_writes,
@@ -256,7 +257,10 @@ def cmd_online(args) -> int:
                 "edge_id": r.edge_id,
                 "case": r.case,
                 "predicted_position": r.predicted_position,
+                "jumped_positions": r.jumped_positions,
+                "rebuilt_interval": r.rebuilt_interval,
                 "nodes_rebuilt": r.nodes_rebuilt,
+                "nodes_skipped": r.nodes_skipped,
                 "full_rebuild": r.full_rebuild,
                 "d_writes": r.d_writes,
             }

@@ -28,9 +28,23 @@ Query tables: while solving, each vertex records the earliest time its
 estimate entered each coarse grid cell.  After a fill-and-floor pass the
 rows are non-increasing, and a query binary-searches the row.
 
-An OfflineStructure is immutable after build as far as queries are
-concerned; the online engine mutates it only through resolve_subtree and
-recompute_base.
+Repair: the online engine changes the structure only through
+recompute_base and resolve_subtree.  After one arrival it hands
+resolve_subtree a TimelineChange naming the only internal prefixes that
+changed, and the pass re-solves only the nodes whose inputs moved (change
+propagation in the style of Ramalingam and Reps).  A node's result depends
+only on its alive set, its alive edges and the inherited estimates of its
+dead tails; those in turn come from its two end maps, the edges_hi list it
+filters, the prefix at its midpoint and the above array.  Each node of the
+pass therefore receives how its inputs moved: the vertices whose entry in
+either end map changed, the edge ids edges_hi gained and lost, and a stale
+map {v: previous above[v]} of the inherited estimates that moved.  A node
+is kept without a Dijkstra when none of these can reach its alive set or
+alive edges; a whole subtree is skipped when, in addition, both end maps
+are unchanged and no jumped prefix inside it touches a vertex alive at the
+node owning that prefix, because alive sets nest down the tree.  Without a
+TimelineChange the solver takes the plain build path and solves every
+node below [lo, hi].
 """
 
 from __future__ import annotations
@@ -38,6 +52,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import chain
+from typing import NamedTuple
 
 from .bucketing import BucketTable, derive_internal_epsilon, make_table
 from .model import UNREACHABLE, EdgeInsert, ProblemInstance
@@ -88,6 +104,67 @@ class RecursionNode:
     level: int
     alive_estimates: dict[int, float]
     alive_edges: list[int]
+
+
+@dataclass(frozen=True)
+class TimelineChange:
+    """What one online arrival changed, for resolve_subtree to prune against.
+
+    For every internal midpoint p in ``jumped`` (inclusive, or None) prefix
+    p gained the ``arrived`` edge and lost seq[p] (0-based: the edge the
+    shift pushed out of prefix p); every other internal prefix is as it was.
+    An unpredicted arrival also changes the time-m end: its edge set gains
+    ``arrived`` and loses ``dropped`` (the truncated last edge), and
+    ``old_base`` maps each base_m entry that recompute_base moved to its
+    previous value.
+    """
+
+    jumped: tuple[int, int] | None
+    arrived: int
+    dropped: int | None
+    old_base: dict[int, float]
+
+
+class _InputDiff(NamedTuple):
+    """How a node's inputs differ from those its previous version was solved with.
+
+    lo and hi hold the vertices whose entry in lo_est or hi_est differs
+    (value, or present against absent); added and removed are the edge ids
+    that edges_hi gained and lost; stale maps each vertex whose inherited
+    estimate above[v] moved to its previous value.
+    """
+
+    lo: set[int]
+    hi: set[int]
+    added: set[int]
+    removed: set[int]
+    stale: dict[int, float]
+
+
+def _moved_keys(new: dict[int, float], old: dict[int, float]) -> set[int]:
+    """Vertices whose entry differs between two estimate maps."""
+    return {v for v in new.keys() | old.keys() if new.get(v) != old.get(v)}
+
+
+def _children_stale(
+    stale: dict[int, float], above: list[float], new: dict[int, float], old: dict[int, float], moved: set[int]
+) -> dict[int, float]:
+    """The stale map below a node whose alive estimates went from old to new.
+
+    above still holds the node's own inherited estimates, so a vertex the
+    node does not hold alive inherits above[v] now and stale.get(v, above[v])
+    before; moved is _moved_keys(new, old).
+    """
+    if not moved:
+        if stale.keys().isdisjoint(new):
+            return stale
+        return {v: before for v, before in stale.items() if v not in new}
+    out = {v: before for v, before in stale.items() if v not in new and v not in old}
+    for v in new.keys() | old.keys():
+        before = old[v] if v in old else stale.get(v, above[v])
+        if before != (new[v] if v in new else above[v]):
+            out[v] = before
+    return out
 
 
 class BuildStats:
@@ -203,6 +280,8 @@ class OfflineStructure:
         above: list[float],
         sink,
         update_entry: bool,
+        change: TimelineChange | None = None,
+        diff: _InputDiff | None = None,
     ) -> None:
         """Solve the node covering [lo, hi] and recurse into its children.
 
@@ -210,12 +289,57 @@ class OfflineStructure:
         their estimates there; a vertex missing from either is dead here.
         above[v] is v's estimate at its deepest alive strict ancestor (the
         time-m anchor when there is none), which is where a dead tail's
-        estimate at mid settles.  The node's fresh estimates become the
-        children's inner ends and are written into above for the recursion,
-        then restored.  edges_hi lists the alive edges at time hi; alive
-        edges here are a subset of those, and the right child filters from
-        the same list.
+        estimate at mid settles.  The node's estimates become the children's
+        inner ends and are written into above for the recursion, then
+        restored.  edges_hi lists the alive edges at time hi; alive edges
+        here are a subset of those, and the right child filters from the
+        same list.
+
+        With a change (an online repair pass) the nodes below still hold
+        their previous versions and diff says how this node's inputs moved
+        since then.  What the diff cannot reach is kept, not re-solved, and
+        counted in sink.nodes_skipped.
         """
+        mid = (lo + hi) // 2
+        if change is None:
+            node = self._solve_node(lo, hi, lo_est, hi_est, edges_hi, above, sink, update_entry)
+        else:
+            old = self.nodes[mid]
+            if self._subtree_kept(lo, hi, lo_est, hi_est, edges_hi, diff, change):
+                sink.nodes_skipped += hi - lo - 1
+                return
+            if self._node_kept(old, mid, lo_est, hi_est, diff, change):
+                node = old
+                sink.nodes_skipped += 1
+            else:
+                node = self._solve_node(lo, hi, lo_est, hi_est, edges_hi, above, sink, update_entry)
+        if hi - lo <= 2:
+            return
+        estimates, alive_edges = node.alive_estimates, node.alive_edges
+        if change is not None:
+            if node is old:
+                moved, added, removed = set(), set(), set()
+            else:
+                moved = _moved_keys(estimates, old.alive_estimates)
+                new_edges, old_edges = set(alive_edges), set(old.alive_edges)
+                added, removed = new_edges - old_edges, old_edges - new_edges
+            stale = _children_stale(diff.stale, above, estimates, old.alive_estimates, moved)
+            left = _InputDiff(diff.lo, moved, added, removed, stale)
+            right = _InputDiff(moved, diff.hi, diff.added, diff.removed, stale)
+        undo = [above[v] for v in estimates]
+        for v, value in estimates.items():
+            above[v] = value
+        if change is None:
+            self._solve(lo, mid, lo_est, estimates, alive_edges, above, sink, update_entry)
+            self._solve(mid, hi, estimates, hi_est, edges_hi, above, sink, update_entry)
+        else:
+            self._solve(lo, mid, lo_est, estimates, alive_edges, above, sink, update_entry, change, left)
+            self._solve(mid, hi, estimates, hi_est, edges_hi, above, sink, update_entry, change, right)
+        for v, value in zip(estimates, undo):
+            above[v] = value
+
+    def _solve_node(self, lo, hi, lo_est, hi_est, edges_hi, above, sink, update_entry) -> RecursionNode:
+        """Solve and store the node covering [lo, hi] (arguments as in _solve)."""
         mid = (lo + hi) // 2
         pos = self.seq.position_of
         edges_of = self.edges_by_id
@@ -231,7 +355,6 @@ class OfflineStructure:
         alive_edges = [
             eid for eid, v in zip(edges_hi, heads) if v in alive_set and pos(eid) <= mid
         ]
-        del heads  # right children share edges_hi, so each frame would pin a copy
 
         # Patch graph: alive tails copy their edge, dead tails fold into the
         # source using their settled estimate at mid (resolved strictly above
@@ -268,7 +391,7 @@ class OfflineStructure:
                 cell = table.coarse_cell_of_value(value)
                 if mid < row[cell]:
                     row[cell] = mid
-        self.nodes[mid] = RecursionNode(
+        node = RecursionNode(
             lo=lo,
             hi=hi,
             mid=mid,
@@ -276,18 +399,112 @@ class OfflineStructure:
             alive_estimates=estimates,
             alive_edges=alive_edges,
         )
+        self.nodes[mid] = node
         sink.node_solved(mid, len(edges_hi), len(alive_edges), alive_set)
-        if hi - lo > 2:
-            undo = [above[v] for v in estimates]
-            for v, value in estimates.items():
-                above[v] = value
-            self._solve(lo, mid, lo_est, estimates, alive_edges, above, sink, update_entry)
-            self._solve(mid, hi, estimates, hi_est, edges_hi, above, sink, update_entry)
-            for v, value in zip(estimates, undo):
-                above[v] = value
+        return node
 
-    def resolve_subtree(self, lo: int, hi: int, sink, update_entry: bool = False) -> None:
-        """(Re)solve the node covering [lo, hi] and all of its descendants."""
+    # -- repair pruning ----------------------------------------------------------
+    #
+    # A node's result depends only on its alive set, its alive edges and the
+    # inherited estimates of the dead tails among them.  The alive set is the
+    # heads of edges_hi that are alive at both ends with different estimates,
+    # so it can change only at a vertex whose end entries moved or that heads
+    # an added or removed edge; the alive edges can change only there, at an
+    # added or removed edge, or through the prefix change at mid.
+
+    def _prefix_change_visible(self, alive: dict[int, float], p: int, change: TimelineChange) -> bool:
+        """Whether the change to prefix p can move a node at p with this alive set."""
+        jumped = change.jumped
+        if jumped is None or not jumped[0] <= p <= jumped[1]:
+            return False
+        return self.edges_by_id[change.arrived].head in alive or self.seq[p].head in alive
+
+    def _edge_diff_invisible(self, alive, lo_est, hi_est, diff: _InputDiff) -> bool:
+        """Whether the edges edges_hi gained or lost leave this alive set and its edges alone.
+
+        An added edge matters only if its head could be alive here, a
+        removed one only if its head was; either way the head's membership
+        in the alive set, and the edge's in the alive edges, stay as they were.
+        """
+        edges_of = self.edges_by_id
+        for eid in diff.removed:
+            if edges_of[eid].head in alive:
+                return False
+        for eid in diff.added:
+            v = edges_of[eid].head
+            est_lo = lo_est.get(v)
+            if est_lo is not None:
+                est_hi = hi_est.get(v)
+                if est_hi is not None and est_lo != est_hi:
+                    return False
+        return True
+
+    def _node_kept(self, node, mid, lo_est, hi_est, diff: _InputDiff, change: TimelineChange) -> bool:
+        """Whether re-solving node against the current inputs would reproduce it.
+
+        A vertex whose end entry moved keeps its alive status when it was
+        alive and still differs across the ends (it still heads an edge of
+        edges_hi unless a removed edge was its last, which the edge check
+        rejects), or was dead and now is missing from an end or equal at both.
+        """
+        alive = node.alive_estimates
+        for v in chain(diff.lo, diff.hi):
+            est_lo = lo_est.get(v)
+            est_hi = hi_est.get(v)
+            if (v in alive) != (est_lo is not None and est_hi is not None and est_lo != est_hi):
+                return False
+        if not self._edge_diff_invisible(alive, lo_est, hi_est, diff):
+            return False
+        stale = diff.stale
+        if stale:
+            edges_of = self.edges_by_id
+            for eid in node.alive_edges:
+                u = edges_of[eid].tail
+                if u in stale and u not in alive:
+                    return False
+        return not self._prefix_change_visible(alive, mid, change)
+
+    def _subtree_kept(self, lo, hi, lo_est, hi_est, edges_hi, diff: _InputDiff, change: TimelineChange) -> bool:
+        """Whether no node below [lo, hi], this one included, can differ.
+
+        Needs both end maps unchanged.  Alive sets nest down the tree, so
+        every node below keeps its alive vertices within the top node's and
+        its alive edges within edges_hi: an added or removed edge that the
+        top node ignores is ignored throughout, a stale vertex dead at the
+        top inherits the moved value throughout (and matters only as the
+        tail of an edge into an alive vertex), and one alive at the top is
+        overwritten by the subtree's own estimates.
+        """
+        if diff.lo or diff.hi:
+            return False
+        nodes = self.nodes
+        alive = nodes[(lo + hi) // 2].alive_estimates
+        if not self._edge_diff_invisible(alive, lo_est, hi_est, diff):
+            return False
+        stale = diff.stale
+        if stale:
+            edges_of = self.edges_by_id
+            for eid in edges_hi:
+                e = edges_of[eid]
+                if e.tail in stale and e.head in alive and e.tail not in alive:
+                    return False
+        if change.jumped is None:
+            return True
+        first, last = max(lo + 1, change.jumped[0]), min(hi - 1, change.jumped[1])
+        return not any(
+            self._prefix_change_visible(nodes[p].alive_estimates, p, change) for p in range(first, last + 1)
+        )
+
+    def resolve_subtree(
+        self, lo: int, hi: int, sink, change: TimelineChange | None = None, update_entry: bool = False
+    ) -> None:
+        """(Re)solve the node covering [lo, hi] and its descendants.
+
+        Without a change every node is solved.  With one, the nodes outside
+        [lo, hi] must be those the change left alone, so that only the
+        time-m end can differ from before, and only nodes whose inputs
+        moved are re-solved.
+        """
         m = self.m
         if lo == 0:
             lo_est = dict.fromkeys(range(self.n), UNREACHABLE)
@@ -302,21 +519,35 @@ class OfflineStructure:
             edges_hi = self.nodes[hi].alive_edges
         # Ancestors root first, so each vertex ends on its deepest alive one.
         above = list(self.base_m)
-        for t in time_ancestors((lo + hi) // 2, m):
+        ancestors = time_ancestors((lo + hi) // 2, m)
+        for t in ancestors:
             for v, est in self.nodes[t].alive_estimates.items():
                 above[v] = est
-        self._solve(lo, hi, lo_est, hi_est, edges_hi, above, sink, update_entry)
+        if change is None:
+            self._solve(lo, hi, lo_est, hi_est, edges_hi, above, sink, update_entry)
+            return
+        # A moved base entry reaches above[v] only where no ancestor holds v.
+        stale = dict(change.old_base)
+        if stale:
+            for t in ancestors:
+                for v in self.nodes[t].alive_estimates:
+                    stale.pop(v, None)
+        if hi == m and change.dropped is not None:
+            diff = _InputDiff(set(), set(change.old_base), {change.arrived}, {change.dropped}, stale)
+        else:
+            diff = _InputDiff(set(), set(), set(), set(), stale)
+        self._solve(lo, hi, lo_est, hi_est, edges_hi, above, sink, update_entry, change, diff)
 
-    def recompute_base(self) -> bool:
-        """Refresh the exact distances at time m; True when anything moved."""
+    def recompute_base(self) -> dict[int, float]:
+        """Refresh the exact distances at time m; map each moved entry to its old value."""
         adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
         for e in self.seq:
             adj[e.tail].append((e.head, e.weight))
         dist = dijkstra(adj, self.source)
         new = [dist.get(v, UNREACHABLE) for v in range(self.n)]
-        changed = new != self.base_m
+        moved = {v: old for v, (old, value) in enumerate(zip(self.base_m, new)) if old != value}
         self.base_m = new
-        return changed
+        return moved
 
     # -- query tables ----------------------------------------------------------
 

@@ -5,14 +5,19 @@ consumes true arrivals one at a time.  Each arrival is reconciled with the
 prediction: a correctly predicted edge costs nothing, a mispredicted one is
 pulled forward to its true position (shifting the displaced block right),
 and an unpredicted one is spliced in while the prediction's last slot is
-truncated.  Only the subtree rooted at the shallowest node whose midpoint
-falls in the displaced span is re-solved, so repair cost tracks prediction
-quality rather than instance size.
+truncated.  Only the prefixes the shift jumped over change, so the repair
+is confined to the subtree rooted at the shallowest node whose midpoint
+falls in that span, and within it resolve_subtree re-solves only the nodes
+whose inputs moved (a jumped prefix that touches their alive vertices, a
+changed interval end, or a moved inherited estimate); the rest are kept
+and counted as skipped.  An unpredicted arrival that moves the exact
+distances at time m runs the same pass from the root.  Repair cost thus
+tracks prediction quality rather than instance size.
 
 A live distance array D is kept in sync after every arrival by replaying
-the alive-vertex estimate sets of the rebuilt time span in ascending order;
-vertices untouched by the pass are provably unchanged since estimates are
-constant across spans where a vertex is dead.
+the alive-vertex estimate sets of the repaired time span in ascending
+order; vertices untouched by the pass are provably unchanged since
+estimates are constant across spans where a vertex is dead.
 """
 
 from __future__ import annotations
@@ -28,7 +33,13 @@ from .model import (
     check_edge,
     prepare_for_build,
 )
-from .offline import OfflineStructure, build_offline, shallowest_midpoint, structures_equal
+from .offline import (
+    OfflineStructure,
+    TimelineChange,
+    build_offline,
+    shallowest_midpoint,
+    structures_equal,
+)
 
 
 class PredictionTimeline:
@@ -102,11 +113,16 @@ def jumped_midpoint_range(t: int, t_prime: int, m: int) -> tuple[int, int] | Non
 
 
 class RebuildSink:
-    """Per-node re-solve counters; fed by the structure's solver."""
+    """Per-node re-solve counters; fed by the structure's solver.
+
+    Only real re-solves count toward rebuilds_per_node and nodes_rebuilt;
+    nodes a repair pass keeps without a Dijkstra count in nodes_skipped.
+    """
 
     def __init__(self, m: int):
         self.rebuilds_per_node = [0] * m  # indexed by midpoint
         self.nodes_rebuilt = 0
+        self.nodes_skipped = 0
         self.alive_edge_work = 0
         self.scan_work = 0
 
@@ -118,6 +134,8 @@ class RebuildSink:
 
 
 class RunCounters:
+    """Run totals; full_rebuilds counts root passes after the time-m anchor moved."""
+
     def __init__(self, m: int):
         self.jumps_per_position = [0] * (m + 2)  # 1-based positions 1..m
         self.total_jumps = 0
@@ -137,6 +155,13 @@ class RunCounters:
 
 @dataclass(frozen=True)
 class InsertReport:
+    """What one arrival cost.
+
+    rebuilt_interval is the span the repair pass covered; its hi - lo - 1
+    nodes split into nodes_rebuilt and nodes_skipped.  full_rebuild marks a
+    pass from the root after the time-m anchor moved.
+    """
+
     t: int
     edge_id: int
     case: str
@@ -144,6 +169,7 @@ class InsertReport:
     jumped_positions: tuple[int, int] | None
     rebuilt_interval: tuple[int, int] | None
     nodes_rebuilt: int
+    nodes_skipped: int
     full_rebuild: bool
     d_writes: int
 
@@ -196,6 +222,7 @@ class OnlineEngine:
         if t_prime < t:
             raise ValueError("an unarrived edge sits among the arrived prefix")
 
+        dropped = None
         if t_prime == t:
             case = "match"
         elif t_prime <= m:
@@ -203,7 +230,7 @@ class OnlineEngine:
             self.timeline.move_forward(edge.edge_id, t)
         else:
             case = "absent"
-            self.timeline.insert_truncating(edge, t)
+            dropped = self.timeline.insert_truncating(edge, t).edge_id
             self.structure.edges_by_id[edge.edge_id] = edge
         self.counters.case_counts[case] += 1
 
@@ -217,23 +244,25 @@ class OnlineEngine:
             jumped_positions = None
 
         sink = self.counters.sink
-        rebuilt_before = sink.nodes_rebuilt
+        rebuilt_before, skipped_before = sink.nodes_rebuilt, sink.nodes_skipped
+        midrange = jumped_midpoint_range(t, t_prime, m)
+        moved = self.structure.recompute_base() if case == "absent" else {}
+        change = TimelineChange(midrange, edge.edge_id, dropped, moved)
         full_rebuild = False
         rebuilt_interval = None
-        if case == "absent" and self.structure.recompute_base():
-            # The exact anchor at time m moved, which invalidates every node
-            # whose resolution chain bottoms out there; rebuild from the root.
+        if moved:
+            # The exact anchor at time m moved, so any node may inherit a
+            # moved entry: run the pass from the root, seeded with the old
+            # values so that it re-solves only what they reach.
             full_rebuild = True
             rebuilt_interval = (0, m)
-            self.structure.resolve_subtree(0, m, sink)
+            self.structure.resolve_subtree(0, m, sink, change)
             self.counters.full_rebuilds += 1
-        else:
-            midrange = jumped_midpoint_range(t, t_prime, m)
-            if midrange is not None:
-                x = shallowest_midpoint(midrange[0], midrange[1])
-                span = x & -x
-                rebuilt_interval = (x - span, x + span)
-                self.structure.resolve_subtree(x - span, x + span, sink)
+        elif midrange is not None:
+            x = shallowest_midpoint(midrange[0], midrange[1])
+            span = x & -x
+            rebuilt_interval = (x - span, x + span)
+            self.structure.resolve_subtree(x - span, x + span, sink, change)
 
         self.t = t
         self._arrived.add(edge.edge_id)
@@ -247,12 +276,13 @@ class OnlineEngine:
             jumped_positions=jumped_positions,
             rebuilt_interval=rebuilt_interval,
             nodes_rebuilt=sink.nodes_rebuilt - rebuilt_before,
+            nodes_skipped=sink.nodes_skipped - skipped_before,
             full_rebuild=full_rebuild,
             d_writes=d_writes,
         )
 
     def _refresh_estimates(self, rebuilt_interval: tuple[int, int] | None, t: int) -> int:
-        """Replay estimate sets over the rebuilt span (ascending, capped at t).
+        """Replay estimate sets over the repaired span (ascending, capped at t).
 
         Vertices no pass touches are dead across the whole span, and a dead
         vertex's estimate is constant over its span, so the stale entry is

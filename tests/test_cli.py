@@ -179,6 +179,15 @@ def test_online_trace_and_csv(capsys, t1_file, t1_pred_file, tmp_path):
     assert code == 0
     assert len(doc["trace"]) == 4
     assert [r["t"] for r in doc["trace"]] == [1, 2, 3, 4]
+    for row in doc["trace"]:
+        assert {"jumped_positions", "rebuilt_interval", "nodes_rebuilt", "nodes_skipped"} <= row.keys()
+        if row["rebuilt_interval"] is None:
+            assert row["nodes_rebuilt"] == row["nodes_skipped"] == 0
+        else:
+            lo, hi = row["rebuilt_interval"]
+            assert row["nodes_rebuilt"] + row["nodes_skipped"] == hi - lo - 1
+    counters = doc["counters"]
+    assert counters["nodes_skipped"] == sum(r["nodes_skipped"] for r in doc["trace"])
     lines = table.read_text().splitlines()
     assert lines[0] == "t,edge_id,case,predicted_position,nodes_rebuilt,d_writes"
     assert len(lines) == 5

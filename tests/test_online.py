@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from incsp.model import (
     UNREACHABLE,
@@ -221,6 +222,7 @@ def _engine_state(engine):
         dict(engine.counters.case_counts),
         engine.counters.total_jumps,
         engine.counters.nodes_rebuilt,
+        engine.counters.sink.nodes_skipped,
     )
 
 
@@ -430,3 +432,138 @@ def test_reverse_order_prediction_is_survivable():
             else:
                 assert exact <= got <= exact * 2 * (1 + 1e-9)
     assert engine.matches_fresh_build()
+
+
+# -- change-driven repair -----------------------------------------------------------
+
+FAMILIES = [
+    ("window_shuffle", {"k": 8}),
+    ("relocate", {"p": 0.05}),
+    ("replace", {"p": 0.05}),
+]
+
+
+def _assert_consistent(engine):
+    s = engine.structure
+    assert engine.D == [s.estimate_at(v, engine.t) for v in range(engine.n)]
+    assert engine.matches_fresh_build()
+
+
+@pytest.mark.parametrize("kind, kwargs", FAMILIES, ids=[kind for kind, _ in FAMILIES])
+def test_reports_partition_the_rebuilt_interval(kind, kwargs):
+    inst = generate(n=12, m=128, W=8, seed=4, epsilon=0.5)
+    padded, engine = _replay(inst, kind, **kwargs)
+    for edge in padded.sigma:
+        report = engine.insert(edge)
+        if report.rebuilt_interval is None:
+            assert report.nodes_rebuilt == report.nodes_skipped == 0
+        else:
+            lo, hi = report.rebuilt_interval
+            assert report.nodes_rebuilt + report.nodes_skipped == hi - lo - 1
+
+
+def test_window_shuffle_replay_skips_nodes():
+    inst = generate(n=12, m=128, W=8, seed=4, epsilon=0.5)
+    padded, engine = _replay(inst, "window_shuffle", k=8)
+    reports = [engine.insert(edge) for edge in padded.sigma]
+    sink = engine.counters.sink
+    assert sink.nodes_skipped == sum(r.nodes_skipped for r in reports) > 0
+    # skipped nodes stay out of the per-node rebuild counts
+    assert sink.nodes_rebuilt == sum(r.nodes_rebuilt for r in reports) == sum(sink.rebuilds_per_node)
+    assert engine.matches_fresh_build()
+
+
+@pytest.mark.parametrize("m", [128, 256])
+@pytest.mark.parametrize("kind, kwargs", FAMILIES, ids=[kind for kind, _ in FAMILIES])
+def test_fresh_build_equality_above_the_small_limit(m, kind, kwargs):
+    inst = generate(n=16, m=m, W=8, seed=m + 1, epsilon=0.5)
+    padded, engine = _replay(inst, kind, **kwargs)
+    for t, edge in enumerate(padded.sigma, start=1):
+        engine.insert(edge)
+        if t % 16 == 0 or t == padded.m:
+            _assert_consistent(engine)
+
+
+def test_root_pass_after_base_move_is_pruned():
+    # At this seed five unpredicted arrivals move the exact distances at time m.
+    inst = generate(n=16, m=128, W=8, seed=4, epsilon=0.5)
+    engine = start_online(inst, perturb(inst, PerturbationSpec("replace", seed=4, p=0.05)))
+    root_passes = 0
+    for edge in engine.instance.sigma:
+        report = engine.insert(edge)
+        if report.full_rebuild:
+            root_passes += 1
+            assert report.case == "absent"
+            assert report.rebuilt_interval == (0, engine.m)
+            assert report.nodes_rebuilt < engine.m - 1
+            _assert_consistent(engine)
+    assert root_passes == engine.counters.full_rebuilds > 0
+
+
+class ArbitraryArrivals(RuleBasedStateMachine):
+    """Arrivals in any order, unpredicted and rejected ones included.
+
+    The prediction is the generated timeline, so every arrival out of that
+    order is a misprediction and every unpredicted edge an absent arrival
+    that truncates the timeline's last slot.
+    """
+
+    W = 6
+
+    @initialize(seed=st.integers(0, 10_000), n=st.integers(3, 8), m=st.integers(2, 32))
+    def build(self, seed, n, m):
+        self.engine = start_online(generate(n=n, m=m, W=self.W, seed=seed, epsilon=0.5))
+        self.pending = list(self.engine.instance.sigma)
+        self.arrived = []
+        self.next_id = 1 + max(e.edge_id for e in self.pending)
+
+    def _arrive(self, edge):
+        self.engine.insert(edge)
+        self.arrived.append(edge)
+        if edge in self.pending:
+            self.pending.remove(edge)
+
+    def _reject(self, edge):
+        before = _engine_state(self.engine)
+        with pytest.raises(ValueError):
+            self.engine.insert(edge)
+        assert _engine_state(self.engine) == before
+
+    @precondition(lambda self: self.engine.t < self.engine.m)
+    @rule(data=st.data())
+    def predicted_edge(self, data):
+        self._arrive(data.draw(st.sampled_from(self.pending)))
+
+    @precondition(lambda self: self.engine.t < self.engine.m)
+    @rule(data=st.data())
+    def unpredicted_edge(self, data):
+        n = self.engine.n
+        tail, head = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        self._arrive(EdgeInsert(self.next_id, tail, head, data.draw(st.integers(1, self.W))))
+        self.next_id += 1
+
+    @rule(data=st.data())
+    def rejected_edge(self, data):
+        n, W = self.engine.n, self.W
+        bad = [
+            EdgeInsert(self.next_id, 0, 0, 0),
+            EdgeInsert(self.next_id, 0, 0, W + 1),
+            EdgeInsert(self.next_id, -1, 0, 1),
+            EdgeInsert(self.next_id, 0, n, 1),
+        ]
+        if self.arrived:
+            bad.append(data.draw(st.sampled_from(self.arrived)))
+        if self.pending:
+            e = data.draw(st.sampled_from(self.pending))
+            bad.append(EdgeInsert(e.edge_id, e.tail, e.head, e.weight % W + 1))
+        if self.engine.t == self.engine.m:
+            bad.append(EdgeInsert(self.next_id, 0, 0, 1))
+        self._reject(data.draw(st.sampled_from(bad)))
+
+    @invariant()
+    def matches_structure_and_fresh_build(self):
+        _assert_consistent(self.engine)
+
+
+ArbitraryArrivals.TestCase.settings = settings(max_examples=40, stateful_step_count=40, deadline=None)
+test_arbitrary_arrivals = ArbitraryArrivals.TestCase
