@@ -24,6 +24,14 @@ dict hit on the end node and a dead tail's estimate at mid is one array
 read.  estimate_at resolves the same value independently, by binary
 search over the ancestor chain.
 
+Edge scans: a node scans the list of edges alive at its hi end.  The left
+child's list is the node's alive edges; the right child's is the node's
+inner list, the edges of its own list whose head is in its alive set,
+whatever their position.  Alive sets nest down the tree, so the right child
+loses nothing it could hold alive.  Every head, tail, weight and position
+is one index into the timeline's EdgeColumns (model.py), built once per
+timeline and shared by every structure on it.
+
 Query tables: while solving, each vertex records the earliest time its
 estimate entered each coarse grid cell.  After a fill-and-floor pass the
 rows are non-increasing, and a query binary-searches the row.
@@ -34,15 +42,18 @@ resolve_subtree a TimelineChange naming the only internal prefixes that
 changed, and the pass re-solves only the nodes whose inputs moved (change
 propagation in the style of Ramalingam and Reps).  A node's result depends
 only on its alive set, its alive edges and the inherited estimates of its
-dead tails; those in turn come from its two end maps, the edges_hi list it
-filters, the prefix at its midpoint and the above array.  Each node of the
-pass therefore receives how its inputs moved: the vertices whose entry in
-either end map changed, the edge ids edges_hi gained and lost, and a stale
-map {v: previous above[v]} of the inherited estimates that moved.  A node
-is kept without a Dijkstra when none of these can reach its alive set or
-alive edges; a whole subtree is skipped when, in addition, both end maps
-are unchanged and no jumped prefix inside it touches a vertex alive at the
-node owning that prefix, because alive sets nest down the tree.  Without a
+dead tails; those in turn come from its two end maps, the prefix at its
+midpoint and the above array.  The edges_hi list it filters decides
+nothing beyond them (see the repair pruning notes in OfflineStructure).
+Each node of the pass therefore receives how its inputs moved: the
+vertices whose entry in either end map changed, and a stale map
+{v: previous above[v]} of the inherited estimates that moved.  A node is
+kept without a Dijkstra when neither these nor the prefix change at its
+midpoint can reach its alive set or alive edges; a whole subtree is
+skipped when, in addition, both end maps are unchanged, no stale vertex
+dead at its top node is the tail of an edge into the top node's alive
+set, and no jumped prefix inside it touches a vertex alive at the node
+owning that prefix, because alive sets nest down the tree.  Without a
 TimelineChange the solver takes the plain build path and solves every
 node below [lo, hi].
 """
@@ -56,7 +67,7 @@ from itertools import chain
 from typing import NamedTuple
 
 from .bucketing import BucketTable, derive_internal_epsilon, make_table
-from .model import UNREACHABLE, EdgeInsert, ProblemInstance
+from .model import UNREACHABLE, ProblemInstance
 
 
 def shallowest_midpoint(a: int, b: int) -> int:
@@ -96,12 +107,11 @@ def tree_level(t: int, m: int) -> int:
     return m.bit_length() - 1 - v2
 
 
-@dataclass
+@dataclass(slots=True)
 class RecursionNode:
-    lo: int
-    hi: int
+    """The node owning midpoint mid; its interval is [mid - span, mid + span] with span = mid & -mid."""
+
     mid: int
-    level: int
     alive_estimates: dict[int, float]
     alive_edges: list[int]
 
@@ -111,17 +121,16 @@ class TimelineChange:
     """What one online arrival changed, for resolve_subtree to prune against.
 
     For every internal midpoint p in ``jumped`` (inclusive, or None) prefix
-    p gained the ``arrived`` edge and lost seq[p] (0-based: the edge the
-    shift pushed out of prefix p); every other internal prefix is as it was.
+    p gained the ``arrived`` edge and lost the edge now at 0-based index p
+    of the timeline (the one the shift pushed out of prefix p); every other
+    internal prefix is as it was.
     An unpredicted arrival also changes the time-m end: its edge set gains
-    ``arrived`` and loses ``dropped`` (the truncated last edge), and
-    ``old_base`` maps each base_m entry that recompute_base moved to its
-    previous value.
+    ``arrived`` and loses the truncated last edge, and ``old_base`` maps
+    each base_m entry that recompute_base moved to its previous value.
     """
 
     jumped: tuple[int, int] | None
     arrived: int
-    dropped: int | None
     old_base: dict[int, float]
 
 
@@ -129,15 +138,14 @@ class _InputDiff(NamedTuple):
     """How a node's inputs differ from those its previous version was solved with.
 
     lo and hi hold the vertices whose entry in lo_est or hi_est differs
-    (value, or present against absent); added and removed are the edge ids
-    that edges_hi gained and lost; stale maps each vertex whose inherited
-    estimate above[v] moved to its previous value.
+    (value, or present against absent); stale maps each vertex whose
+    inherited estimate above[v] moved to its previous value.  How edges_hi
+    changed is not part of it: see the repair pruning notes in
+    OfflineStructure.
     """
 
     lo: set[int]
     hi: set[int]
-    added: set[int]
-    removed: set[int]
     stale: dict[int, float]
 
 
@@ -168,7 +176,11 @@ def _children_stale(
 
 
 class BuildStats:
-    """Work counters for one full build."""
+    """Work counters for one full build.
+
+    scan_work sums the lengths of the edge lists the solved nodes scanned,
+    each right child's narrowed inner list included.
+    """
 
     def __init__(self, n: int, m: int):
         self.alive_edges_per_node = [0] * m  # indexed by midpoint
@@ -220,10 +232,14 @@ class OfflineStructure:
         self.source = instance.source
         self.epsilon_input = instance.epsilon
         self.table = table
-        self.seq = instance.sigma  # iterable of edges with position_of() and ids()
-        self.edges_by_id: dict[int, EdgeInsert] = {e.edge_id: e for e in instance.sigma}
+        self.cols = instance.sigma.columns  # model.EdgeColumns, shared by every structure on this timeline
         self.nodes: list[RecursionNode | None] = [None] * m
-        self.base_m: list[float] = []
+        # The interval-end maps at times 0 and m live across resolve_subtree
+        # calls; recompute_base keeps the time-m one in step with base_m.
+        self.base_m: list[float] = [UNREACHABLE] * self.n
+        self._est_m: dict[int, float] = dict.fromkeys(range(self.n), UNREACHABLE)
+        self._est_0: dict[int, float] = dict.fromkeys(range(self.n), UNREACHABLE)
+        self._est_0[self.source] = 0
         self.unset = m + 1  # sentinel above every valid time
         self.entry_times: list[list[int]] | None = None
         if with_entry_times:
@@ -291,9 +307,12 @@ class OfflineStructure:
         time-m anchor when there is none), which is where a dead tail's
         estimate at mid settles.  The node's estimates become the children's
         inner ends and are written into above for the recursion, then
-        restored.  edges_hi lists the alive edges at time hi; alive edges
-        here are a subset of those, and the right child filters from the
-        same list.
+        restored.  edges_hi lists the alive edges at time hi, or a part of
+        them that holds every edge into a vertex this node can hold alive;
+        alive edges here are a subset of it.  The left child scans this
+        node's alive edges and the right child its inner list (see
+        _solve_node), except below a node the repair pass kept, which hands
+        its own edges_hi on.
 
         With a change (an online repair pass) the nodes below still hold
         their previous versions and diff says how this node's inputs moved
@@ -302,49 +321,49 @@ class OfflineStructure:
         """
         mid = (lo + hi) // 2
         if change is None:
-            node = self._solve_node(lo, hi, lo_est, hi_est, edges_hi, above, sink, update_entry)
+            node, inner = self._solve_node(lo, hi, lo_est, hi_est, edges_hi, above, sink, update_entry)
         else:
             old = self.nodes[mid]
-            if self._subtree_kept(lo, hi, lo_est, hi_est, edges_hi, diff, change):
+            if self._subtree_kept(lo, hi, edges_hi, diff, change):
                 sink.nodes_skipped += hi - lo - 1
                 return
             if self._node_kept(old, mid, lo_est, hi_est, diff, change):
-                node = old
+                node, inner = old, edges_hi
                 sink.nodes_skipped += 1
             else:
-                node = self._solve_node(lo, hi, lo_est, hi_est, edges_hi, above, sink, update_entry)
+                node, inner = self._solve_node(lo, hi, lo_est, hi_est, edges_hi, above, sink, update_entry)
         if hi - lo <= 2:
             return
         estimates, alive_edges = node.alive_estimates, node.alive_edges
         if change is not None:
-            if node is old:
-                moved, added, removed = set(), set(), set()
-            else:
-                moved = _moved_keys(estimates, old.alive_estimates)
-                new_edges, old_edges = set(alive_edges), set(old.alive_edges)
-                added, removed = new_edges - old_edges, old_edges - new_edges
+            moved = set() if node is old else _moved_keys(estimates, old.alive_estimates)
             stale = _children_stale(diff.stale, above, estimates, old.alive_estimates, moved)
-            left = _InputDiff(diff.lo, moved, added, removed, stale)
-            right = _InputDiff(moved, diff.hi, diff.added, diff.removed, stale)
+            left = _InputDiff(diff.lo, moved, stale)
+            right = _InputDiff(moved, diff.hi, stale)
         undo = [above[v] for v in estimates]
         for v, value in estimates.items():
             above[v] = value
         if change is None:
             self._solve(lo, mid, lo_est, estimates, alive_edges, above, sink, update_entry)
-            self._solve(mid, hi, estimates, hi_est, edges_hi, above, sink, update_entry)
+            self._solve(mid, hi, estimates, hi_est, inner, above, sink, update_entry)
         else:
             self._solve(lo, mid, lo_est, estimates, alive_edges, above, sink, update_entry, change, left)
-            self._solve(mid, hi, estimates, hi_est, edges_hi, above, sink, update_entry, change, right)
+            self._solve(mid, hi, estimates, hi_est, inner, above, sink, update_entry, change, right)
         for v, value in zip(estimates, undo):
             above[v] = value
 
-    def _solve_node(self, lo, hi, lo_est, hi_est, edges_hi, above, sink, update_entry) -> RecursionNode:
-        """Solve and store the node covering [lo, hi] (arguments as in _solve)."""
-        mid = (lo + hi) // 2
-        pos = self.seq.position_of
-        edges_of = self.edges_by_id
+    def _solve_node(self, lo, hi, lo_est, hi_est, edges_hi, above, sink, update_entry):
+        """Solve and store the node covering [lo, hi] (arguments as in _solve).
 
-        heads = [edges_of[eid].head for eid in edges_hi]
+        Returns the node and inner, the edges of edges_hi whose head is in
+        its alive set, whatever their position: the list the right child
+        scans.
+        """
+        mid = (lo + hi) // 2
+        cols = self.cols
+        head_of, tail_of, weight_of, pos = cols.head, cols.tail, cols.weight, cols.position
+
+        heads = [head_of[eid] for eid in edges_hi]
         alive_set = set()
         for v in set(heads):
             est_lo = lo_est.get(v)
@@ -352,9 +371,8 @@ class OfflineStructure:
                 est_hi = hi_est.get(v)
                 if est_hi is not None and est_lo != est_hi:
                     alive_set.add(v)
-        alive_edges = [
-            eid for eid, v in zip(edges_hi, heads) if v in alive_set and pos(eid) <= mid
-        ]
+        inner = [eid for eid, v in zip(edges_hi, heads) if v in alive_set]
+        alive_edges = [eid for eid in inner if pos[eid] <= mid]
 
         # Patch graph: alive tails copy their edge, dead tails fold into the
         # source using their settled estimate at mid (resolved strictly above
@@ -364,16 +382,15 @@ class OfflineStructure:
         adj.setdefault(src, [])
         best_from_source: dict[int, float] = {}
         for eid in alive_edges:
-            e = edges_of[eid]
-            u = e.tail
+            u = tail_of[eid]
             if u in alive_set:
-                adj[u].append((e.head, e.weight))
+                adj[u].append((head_of[eid], weight_of[eid]))
                 continue
             du = above[u]
             if du == UNREACHABLE:
                 continue
-            length = du + e.weight
-            v = e.head
+            length = du + weight_of[eid]
+            v = head_of[eid]
             if length < best_from_source.get(v, UNREACHABLE):
                 best_from_source[v] = length
         for v, length in best_from_source.items():
@@ -391,61 +408,49 @@ class OfflineStructure:
                 cell = table.coarse_cell_of_value(value)
                 if mid < row[cell]:
                     row[cell] = mid
-        node = RecursionNode(
-            lo=lo,
-            hi=hi,
-            mid=mid,
-            level=tree_level(mid, self.m),
-            alive_estimates=estimates,
-            alive_edges=alive_edges,
-        )
+        node = RecursionNode(mid, estimates, alive_edges)
         self.nodes[mid] = node
         sink.node_solved(mid, len(edges_hi), len(alive_edges), alive_set)
-        return node
+        return node, inner
 
     # -- repair pruning ----------------------------------------------------------
     #
     # A node's result depends only on its alive set, its alive edges and the
     # inherited estimates of the dead tails among them.  The alive set is the
     # heads of edges_hi that are alive at both ends with different estimates,
-    # so it can change only at a vertex whose end entries moved or that heads
-    # an added or removed edge; the alive edges can change only there, at an
-    # added or removed edge, or through the prefix change at mid.
+    # but the edges_hi filter never decides it.  Estimates are never below
+    # the exact distances, so a vertex with no in-edge among the first hi
+    # edges has an infinite estimate at hi and at lo and is not alive (the
+    # source holds 0 throughout and is never alive either).  A
+    # vertex present in hi_est is alive at the node owning hi (or hi = m),
+    # and edges_hi holds all its in-edges among the first hi edges (alive
+    # edges at hi, by induction from the full timeline at m; the right
+    # child's narrowed list keeps every edge into the parent's alive set,
+    # which holds any vertex alive in the child).  So the alive set is the
+    # set of vertices alive at both ends with different estimates, and the
+    # alive edges are all edges of prefix mid into it.  The pass solves a
+    # node after its ends, so its end maps are those of a fresh build, and
+    # the result can move only through a vertex whose end entry moved, the
+    # prefix change at mid, or a stale dead tail.  Edges that edges_hi gains
+    # or loses need no check of their own: the arriving edge enters the
+    # prefixes through the prefix check, and the truncated last edge sits at
+    # position m, in no internal prefix.
 
     def _prefix_change_visible(self, alive: dict[int, float], p: int, change: TimelineChange) -> bool:
         """Whether the change to prefix p can move a node at p with this alive set."""
         jumped = change.jumped
         if jumped is None or not jumped[0] <= p <= jumped[1]:
             return False
-        return self.edges_by_id[change.arrived].head in alive or self.seq[p].head in alive
-
-    def _edge_diff_invisible(self, alive, lo_est, hi_est, diff: _InputDiff) -> bool:
-        """Whether the edges edges_hi gained or lost leave this alive set and its edges alone.
-
-        An added edge matters only if its head could be alive here, a
-        removed one only if its head was; either way the head's membership
-        in the alive set, and the edge's in the alive edges, stay as they were.
-        """
-        edges_of = self.edges_by_id
-        for eid in diff.removed:
-            if edges_of[eid].head in alive:
-                return False
-        for eid in diff.added:
-            v = edges_of[eid].head
-            est_lo = lo_est.get(v)
-            if est_lo is not None:
-                est_hi = hi_est.get(v)
-                if est_hi is not None and est_lo != est_hi:
-                    return False
-        return True
+        head = self.cols.head
+        return head[change.arrived] in alive or head[self.cols.order[p]] in alive
 
     def _node_kept(self, node, mid, lo_est, hi_est, diff: _InputDiff, change: TimelineChange) -> bool:
         """Whether re-solving node against the current inputs would reproduce it.
 
         A vertex whose end entry moved keeps its alive status when it was
-        alive and still differs across the ends (it still heads an edge of
-        edges_hi unless a removed edge was its last, which the edge check
-        rejects), or was dead and now is missing from an end or equal at both.
+        alive and still differs across the ends, or was dead and now is
+        missing from an end or equal at both; whether it heads an edge of
+        edges_hi follows from that (see the repair pruning notes above).
         """
         alive = node.alive_estimates
         for v in chain(diff.lo, diff.hi):
@@ -453,40 +458,36 @@ class OfflineStructure:
             est_hi = hi_est.get(v)
             if (v in alive) != (est_lo is not None and est_hi is not None and est_lo != est_hi):
                 return False
-        if not self._edge_diff_invisible(alive, lo_est, hi_est, diff):
-            return False
         stale = diff.stale
         if stale:
-            edges_of = self.edges_by_id
+            tail = self.cols.tail
             for eid in node.alive_edges:
-                u = edges_of[eid].tail
+                u = tail[eid]
                 if u in stale and u not in alive:
                     return False
         return not self._prefix_change_visible(alive, mid, change)
 
-    def _subtree_kept(self, lo, hi, lo_est, hi_est, edges_hi, diff: _InputDiff, change: TimelineChange) -> bool:
+    def _subtree_kept(self, lo, hi, edges_hi, diff: _InputDiff, change: TimelineChange) -> bool:
         """Whether no node below [lo, hi], this one included, can differ.
 
-        Needs both end maps unchanged.  Alive sets nest down the tree, so
-        every node below keeps its alive vertices within the top node's and
-        its alive edges within edges_hi: an added or removed edge that the
-        top node ignores is ignored throughout, a stale vertex dead at the
-        top inherits the moved value throughout (and matters only as the
-        tail of an edge into an alive vertex), and one alive at the top is
-        overwritten by the subtree's own estimates.
+        Needs both end maps unchanged, so that every node below sees the end
+        maps it was solved with.  Alive sets nest down the tree, so every
+        node below keeps its alive vertices within the top node's and its
+        alive edges within edges_hi: a stale vertex dead at the top inherits
+        the moved value throughout (and matters only as the tail of an edge
+        into an alive vertex), and one alive at the top is overwritten by
+        the subtree's own estimates.
         """
         if diff.lo or diff.hi:
             return False
         nodes = self.nodes
         alive = nodes[(lo + hi) // 2].alive_estimates
-        if not self._edge_diff_invisible(alive, lo_est, hi_est, diff):
-            return False
         stale = diff.stale
         if stale:
-            edges_of = self.edges_by_id
+            head, tail = self.cols.head, self.cols.tail
             for eid in edges_hi:
-                e = edges_of[eid]
-                if e.tail in stale and e.head in alive and e.tail not in alive:
+                u = tail[eid]
+                if u in stale and head[eid] in alive and u not in alive:
                     return False
         if change.jumped is None:
             return True
@@ -506,47 +507,44 @@ class OfflineStructure:
         moved are re-solved.
         """
         m = self.m
-        if lo == 0:
-            lo_est = dict.fromkeys(range(self.n), UNREACHABLE)
-            lo_est[self.source] = 0
-        else:
-            lo_est = self.nodes[lo].alive_estimates
+        lo_est = self._est_0 if lo == 0 else self.nodes[lo].alive_estimates
         if hi == m:
-            hi_est = dict(enumerate(self.base_m))
-            edges_hi = self.seq.ids()
+            hi_est = self._est_m
+            edges_hi = self.cols.order
         else:
             hi_est = self.nodes[hi].alive_estimates
             edges_hi = self.nodes[hi].alive_edges
-        # Ancestors root first, so each vertex ends on its deepest alive one.
+        # Merge the ancestors' estimates root first, so each vertex ends on its
+        # deepest alive one; a fresh copy of base_m (one C-level copy) costs
+        # less than undoing the writes after the pass.
+        inherited: dict[int, float] = {}
+        for t in time_ancestors((lo + hi) // 2, m):
+            inherited.update(self.nodes[t].alive_estimates)
         above = list(self.base_m)
-        ancestors = time_ancestors((lo + hi) // 2, m)
-        for t in ancestors:
-            for v, est in self.nodes[t].alive_estimates.items():
-                above[v] = est
+        for v, est in inherited.items():
+            above[v] = est
         if change is None:
             self._solve(lo, hi, lo_est, hi_est, edges_hi, above, sink, update_entry)
-            return
-        # A moved base entry reaches above[v] only where no ancestor holds v.
-        stale = dict(change.old_base)
-        if stale:
-            for t in ancestors:
-                for v in self.nodes[t].alive_estimates:
-                    stale.pop(v, None)
-        if hi == m and change.dropped is not None:
-            diff = _InputDiff(set(), set(change.old_base), {change.arrived}, {change.dropped}, stale)
         else:
-            diff = _InputDiff(set(), set(), set(), set(), stale)
-        self._solve(lo, hi, lo_est, hi_est, edges_hi, above, sink, update_entry, change, diff)
+            # A moved base entry reaches above[v] only where no ancestor holds v.
+            stale = {v: old for v, old in change.old_base.items() if v not in inherited}
+            # Only a root pass has moved base entries, and its hi end is time m.
+            diff = _InputDiff(set(), set(change.old_base), stale)
+            self._solve(lo, hi, lo_est, hi_est, edges_hi, above, sink, update_entry, change, diff)
 
     def recompute_base(self) -> dict[int, float]:
         """Refresh the exact distances at time m; map each moved entry to its old value."""
+        cols = self.cols
+        head, tail, weight = cols.head, cols.tail, cols.weight
         adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for e in self.seq:
-            adj[e.tail].append((e.head, e.weight))
+        for eid in cols.order:
+            adj[tail[eid]].append((head[eid], weight[eid]))
         dist = dijkstra(adj, self.source)
         new = [dist.get(v, UNREACHABLE) for v in range(self.n)]
         moved = {v: old for v, (old, value) in enumerate(zip(self.base_m, new)) if old != value}
         self.base_m = new
+        for v in moved:
+            self._est_m[v] = new[v]
         return moved
 
     # -- query tables ----------------------------------------------------------

@@ -26,6 +26,7 @@ from dataclasses import dataclass, replace
 
 from .model import (
     UNREACHABLE,
+    EdgeColumns,
     EdgeInsert,
     InsertSequence,
     ProblemInstance,
@@ -49,54 +50,43 @@ class PredictionTimeline:
     forward (with a right shift of the displaced block) and inserting a new
     edge while truncating the final slot.  Absent edges report position
     ``len + 1``.  Shift cost is linear in the displaced span, which the
-    rebuild accounting already pays for.
+    rebuild accounting already pays for.  The edges live only in columns
+    (model.EdgeColumns), which both corrections keep current, so structures
+    built on the timeline read the corrected positions.
     """
 
     def __init__(self, edges):
-        self._edges: list[EdgeInsert] = list(edges)
-        self._pos: dict[int, int] = {}
-        for i, e in enumerate(self._edges):
-            if e.edge_id in self._pos:
-                raise ValueError("duplicate edge id within a sequence")
-            self._pos[e.edge_id] = i + 1
+        edges = list(edges)
+        if len({e.edge_id for e in edges}) != len(edges):
+            raise ValueError("duplicate edge id within a sequence")
+        self.columns = EdgeColumns(edges)
 
     def __len__(self) -> int:
-        return len(self._edges)
+        return len(self.columns.order)
 
     def __iter__(self):
-        return iter(self._edges)
+        return map(self._edge, self.columns.order)
 
     def __getitem__(self, i: int) -> EdgeInsert:
-        return self._edges[i]
+        return self._edge(self.columns.order[i])
+
+    def _edge(self, edge_id: int) -> EdgeInsert:
+        cols = self.columns
+        return EdgeInsert(edge_id, cols.tail[edge_id], cols.head[edge_id], cols.weight[edge_id])
 
     def position_of(self, edge_id: int) -> int:
-        return self._pos.get(edge_id, len(self._edges) + 1)
+        return self.columns.position_of(edge_id)
 
     def ids(self) -> list[int]:
-        return [e.edge_id for e in self._edges]
-
-    def _reindex(self, lo_pos: int, hi_pos: int) -> None:
-        for i in range(lo_pos - 1, hi_pos):
-            self._pos[self._edges[i].edge_id] = i + 1
+        return list(self.columns.order)
 
     def move_forward(self, edge_id: int, t: int) -> None:
         """Move the edge to position t <= its current position."""
-        t_prime = self._pos[edge_id]
-        if t > t_prime:
-            raise ValueError("can only move an edge toward the front")
-        e = self._edges.pop(t_prime - 1)
-        self._edges.insert(t - 1, e)
-        self._reindex(t, t_prime)
+        self.columns.move_forward(edge_id, t)
 
     def insert_truncating(self, edge: EdgeInsert, t: int) -> EdgeInsert:
         """Insert at position t, drop the last element, and return it."""
-        if edge.edge_id in self._pos:
-            raise ValueError("edge already present in the timeline")
-        self._edges.insert(t - 1, edge)
-        dropped = self._edges.pop()
-        del self._pos[dropped.edge_id]
-        self._reindex(t, len(self._edges))
-        return dropped
+        return self._edge(self.columns.insert_truncating(edge, t))
 
 
 def jumped_midpoint_range(t: int, t_prime: int, m: int) -> tuple[int, int] | None:
@@ -117,6 +107,8 @@ class RebuildSink:
 
     Only real re-solves count toward rebuilds_per_node and nodes_rebuilt;
     nodes a repair pass keeps without a Dijkstra count in nodes_skipped.
+    scan_work sums the lengths of the edge lists the re-solved nodes
+    scanned, as BuildStats.scan_work does.
     """
 
     def __init__(self, m: int):
@@ -210,8 +202,8 @@ class OnlineEngine:
             raise ValueError("more than m insertions")
         if edge.edge_id in self._arrived:
             raise ValueError("duplicate insertion")
-        known = self.structure.edges_by_id.get(edge.edge_id)
-        if known is not None and known.triple != edge.triple:
+        known = self.timeline.columns.triple(edge.edge_id)
+        if known is not None and known != edge.triple:
             raise ValueError("arriving edge conflicts with its predicted description")
 
         t = self.t + 1
@@ -222,7 +214,6 @@ class OnlineEngine:
         if t_prime < t:
             raise ValueError("an unarrived edge sits among the arrived prefix")
 
-        dropped = None
         if t_prime == t:
             case = "match"
         elif t_prime <= m:
@@ -230,8 +221,7 @@ class OnlineEngine:
             self.timeline.move_forward(edge.edge_id, t)
         else:
             case = "absent"
-            dropped = self.timeline.insert_truncating(edge, t).edge_id
-            self.structure.edges_by_id[edge.edge_id] = edge
+            self.timeline.insert_truncating(edge, t)
         self.counters.case_counts[case] += 1
 
         if t_prime > t:
@@ -247,7 +237,7 @@ class OnlineEngine:
         rebuilt_before, skipped_before = sink.nodes_rebuilt, sink.nodes_skipped
         midrange = jumped_midpoint_range(t, t_prime, m)
         moved = self.structure.recompute_base() if case == "absent" else {}
-        change = TimelineChange(midrange, edge.edge_id, dropped, moved)
+        change = TimelineChange(midrange, edge.edge_id, moved)
         full_rebuild = False
         rebuilt_interval = None
         if moved:

@@ -92,6 +92,11 @@ def test_positions_are_one_based(t1):
     assert seq.position_of(99) == len(seq) + 1
 
 
+def test_positions_with_far_edge_ids():
+    seq = InsertSequence([EdgeInsert(10**12, 0, 1, 1), EdgeInsert(-3, 1, 2, 1), EdgeInsert(0, 0, 2, 1)])
+    assert [seq.position_of(i) for i in (10**12, -3, 0, 1, -1, 10**12 + 1)] == [1, 2, 3, 4, 4, 4]
+
+
 def test_duplicate_ids_rejected():
     with pytest.raises(ValueError, match="duplicate edge id"):
         InsertSequence([EdgeInsert(0, 0, 1, 1), EdgeInsert(0, 1, 2, 1)])

@@ -93,7 +93,8 @@ def test_t1_builds_three_nodes(t1_structure):
 def test_t1_root_alive_set(t1_structure):
     # both non-source vertices flip unreachable -> finite across [0, 4]
     root = t1_structure.nodes[2]
-    assert (root.lo, root.hi, root.level) == (0, 4, 1)
+    span = root.mid & -root.mid
+    assert (root.mid - span, root.mid + span, tree_level(root.mid, t1_structure.m)) == (0, 4, 1)
     assert set(root.alive_estimates) == {1, 2}
 
 
@@ -198,13 +199,14 @@ def random_case():
 
 def test_alive_edges_are_subsets_of_hi_side(random_case):
     padded, s, _ = random_case
-    heads = {eid: s.edges_by_id[eid].head for eid in padded.sigma.ids()}
+    heads = {e.edge_id: e.head for e in padded.sigma}
     for mid in range(1, s.m):
         node = s.nodes[mid]
-        if node.hi == s.m:
+        hi = node.mid + (node.mid & -node.mid)
+        if hi == s.m:
             reference = set(padded.sigma.ids())
         else:
-            reference = set(s.nodes[node.hi].alive_edges)
+            reference = set(s.nodes[hi].alive_edges)
         assert set(node.alive_edges) <= reference
         # every alive vertex is the head of an edge alive at the hi side
         hi_heads = {heads[eid] for eid in reference}
@@ -238,7 +240,7 @@ def test_node_estimates_sandwich_by_level(random_case):
     delta = s.table.delta
     for t in range(1, s.m):
         node = s.nodes[t]
-        band = (1 + delta) ** node.level * (1 + 1e-9)
+        band = (1 + delta) ** tree_level(node.mid, s.m) * (1 + 1e-9)
         for v, est in node.alive_estimates.items():
             exact = rows[t][v]
             if est == UNREACHABLE or exact == UNREACHABLE:

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -171,6 +173,24 @@ def test_absent_arrival_jumps_over_tail_positions(t1_padded, t1_edges):
     assert engine.counters.jumps_per_position[4] == 2
 
 
+@pytest.mark.parametrize("edge_id", [10**12, -7])
+def test_unpredicted_arrival_with_a_far_edge_id(t1_padded, t1_edges, edge_id):
+    # The timeline's edge columns are indexed by edge id: an id far outside
+    # the timeline's range must cost no memory in proportion to its value,
+    # and a negative one must not index a list from its end.
+    engine = OnlineEngine(t1_padded, list(t1_padded.sigma))
+    arrivals = [t1_edges[0], EdgeInsert(edge_id, 0, 2, 1), t1_edges[1], t1_edges[2]]
+    for edge in arrivals:
+        engine.insert(edge)
+        assert engine.matches_fresh_build()
+        assert engine.D == [engine.structure.estimate_at(v, engine.t) for v in range(engine.n)]
+    cols = engine.timeline.columns
+    assert sum(sys.getsizeof(c) for c in (cols.head, cols.tail, cols.weight, cols.position)) < 1 << 16
+    assert engine.timeline.position_of(edge_id) == 2
+    assert engine.timeline.position_of(t1_edges[3].edge_id) == 5
+    assert engine.D == [0, 4, 1]
+
+
 # -- validation -------------------------------------------------------------------
 
 
@@ -212,11 +232,12 @@ W4_TEXT = "3 3 4 1.0 0\n0 1 2\n1 2 3\n0 2 4\n"
 
 def _engine_state(engine):
     s = engine.structure
+    cols = engine.timeline.columns
     return (
         engine.t,
         engine.D[:],
         engine.timeline.ids(),
-        sorted(s.edges_by_id),
+        [column.copy() for column in (cols.head, cols.tail, cols.weight, cols.position, cols.order)],
         s.base_m[:],
         [id(node) for node in s.nodes],
         dict(engine.counters.case_counts),
@@ -498,6 +519,20 @@ def test_root_pass_after_base_move_is_pruned():
             assert report.nodes_rebuilt < engine.m - 1
             _assert_consistent(engine)
     assert root_passes == engine.counters.full_rebuilds > 0
+
+
+def test_subtree_skip_checks_stale_tails_below_the_top_node():
+    # At this seed arrival 127 moves the inherited estimate of a vertex that
+    # is dead at the top of a subtree whose end maps are unchanged and whose
+    # jumped prefixes touch no alive vertex.  The vertex is the tail of an
+    # edge into the top node's alive set, so the subtree must be re-solved;
+    # skipping it leaves a structure unlike a fresh build until arrival 143.
+    inst = generate(n=80, m=512, W=16, seed=11, epsilon=0.5)
+    engine = start_online(inst, perturb(inst, PerturbationSpec("relocate", seed=11, p=0.05)))
+    for t, edge in enumerate(engine.instance.sigma[:144], start=1):
+        engine.insert(edge)
+        if t % 16 == 0 or t == 127:
+            _assert_consistent(engine)
 
 
 class ArbitraryArrivals(RuleBasedStateMachine):
