@@ -51,98 +51,34 @@ def check_edge(edge: EdgeInsert, n: int, W: int) -> None:
         raise ValueError("weight out of range")
 
 
-def _lookup(column: list | dict, eid: int):
-    """column[eid], or None where the column holds nothing for eid."""
-    if isinstance(column, dict):
-        return column.get(eid)
-    return column[eid] if 0 <= eid < len(column) else None
-
-
 class EdgeColumns:
-    """The fields of a timeline's edges, one column per field, indexed by edge id.
+    """The fields of a timeline's edges, one dict per field, keyed by edge id.
 
     head, tail and weight cover every edge the timeline has held, including
     edges a truncation dropped; position holds an edge's 1-based position,
     or ``absent`` (length + 1) once it has left the timeline.  order lists
-    the edge ids by position.  The columns are lists while the ids are
-    dense, so a read is one list index, and become dicts once an id falls
-    outside [0, 4 * length + 64), so that a huge or negative id costs no
-    memory in proportion to its value.  Both subscript by edge id; readers
-    must fetch a column from this object each time rather than keep it
-    across a timeline mutation.
+    the edge ids by position.  Keys cost nothing in proportion to an id's
+    value, so huge and negative ids need no special case.
     """
 
     def __init__(self, edges: Sequence[EdgeInsert]):
         self.order: list[int] = [e.edge_id for e in edges]
-        m = len(self.order)
-        self.absent = m + 1
-        self._dense_bound = 4 * m + 64
-        size = max(self.order, default=-1) + 1
-        if all(0 <= eid < self._dense_bound for eid in self.order):
-            self.head: list | dict = [None] * size
-            self.tail: list | dict = [None] * size
-            self.weight: list | dict = [None] * size
-            self.position: list | dict = [None] * size
-        else:
-            self.head, self.tail, self.weight, self.position = {}, {}, {}, {}
-        for p, e in enumerate(edges, start=1):
-            self._store(e, p)
-
-    def _store(self, edge: EdgeInsert, position: int) -> None:
-        eid = edge.edge_id
-        if isinstance(self.head, list) and not 0 <= eid < len(self.head):
-            if 0 <= eid < self._dense_bound:
-                gap = [None] * (eid + 1 - len(self.head))
-                for col in (self.head, self.tail, self.weight, self.position):
-                    col.extend(gap)
-            else:
-                self.head, self.tail, self.weight, self.position = (
-                    {i: x for i, x in enumerate(col) if x is not None}
-                    for col in (self.head, self.tail, self.weight, self.position)
-                )
-        self.head[eid] = edge.head
-        self.tail[eid] = edge.tail
-        self.weight[eid] = edge.weight
-        self.position[eid] = position
+        self.absent = len(self.order) + 1
+        self.head: dict[int, int] = {e.edge_id: e.head for e in edges}
+        self.tail: dict[int, int] = {e.edge_id: e.tail for e in edges}
+        self.weight: dict[int, int] = {e.edge_id: e.weight for e in edges}
+        self.position: dict[int, int] = {eid: p for p, eid in enumerate(self.order, start=1)}
 
     def position_of(self, edge_id: int) -> int:
         """1-based position of the edge, or ``absent`` when the timeline does not hold it."""
-        pos = _lookup(self.position, edge_id)
-        return self.absent if pos is None else pos
+        return self.position.get(edge_id, self.absent)
 
     def triple(self, edge_id: int) -> tuple[int, int, int] | None:
         """(tail, head, weight) of an edge the timeline holds or has held, else None."""
-        head = _lookup(self.head, edge_id)
+        head = self.head.get(edge_id)
         if head is None:
             return None
         return (self.tail[edge_id], head, self.weight[edge_id])
-
-    def _renumber(self, lo_pos: int, hi_pos: int) -> None:
-        order, position = self.order, self.position
-        for i in range(lo_pos - 1, hi_pos):
-            position[order[i]] = i + 1
-
-    def move_forward(self, edge_id: int, t: int) -> None:
-        """Move the edge to position t <= its current position."""
-        t_prime = self.position_of(edge_id)
-        if t_prime == self.absent:
-            raise ValueError("edge not in the timeline")
-        if t > t_prime:
-            raise ValueError("can only move an edge toward the front")
-        self.order.pop(t_prime - 1)
-        self.order.insert(t - 1, edge_id)
-        self._renumber(t, t_prime)
-
-    def insert_truncating(self, edge: EdgeInsert, t: int) -> int:
-        """Insert at position t, drop the last edge, and return the dropped id."""
-        if self.position_of(edge.edge_id) != self.absent:
-            raise ValueError("edge already present in the timeline")
-        self.order.insert(t - 1, edge.edge_id)
-        dropped = self.order.pop()
-        self._store(edge, t)
-        self.position[dropped] = self.absent
-        self._renumber(t, len(self.order))
-        return dropped
 
 
 class InsertSequence:

@@ -29,8 +29,8 @@ child's list is the node's alive edges; the right child's is the node's
 inner list, the edges of its own list whose head is in its alive set,
 whatever their position.  Alive sets nest down the tree, so the right child
 loses nothing it could hold alive.  Every head, tail, weight and position
-is one index into the timeline's EdgeColumns (model.py), built once per
-timeline and shared by every structure on it.
+is one lookup by edge id in the timeline's EdgeColumns (model.py), built
+once per timeline and shared by every structure on it.
 
 Query tables: while solving, each vertex records the earliest time its
 estimate entered each coarse grid cell.  After a fill-and-floor pass the

@@ -80,13 +80,35 @@ class PredictionTimeline:
     def ids(self) -> list[int]:
         return list(self.columns.order)
 
+    def _reindex(self, lo_pos: int, hi_pos: int) -> None:
+        order, position = self.columns.order, self.columns.position
+        for i in range(lo_pos - 1, hi_pos):
+            position[order[i]] = i + 1
+
     def move_forward(self, edge_id: int, t: int) -> None:
         """Move the edge to position t <= its current position."""
-        self.columns.move_forward(edge_id, t)
+        t_prime = self.position_of(edge_id)
+        if t_prime > len(self):
+            raise ValueError("edge not in the timeline")
+        if t > t_prime:
+            raise ValueError("can only move an edge toward the front")
+        order = self.columns.order
+        order.pop(t_prime - 1)
+        order.insert(t - 1, edge_id)
+        self._reindex(t, t_prime)
 
     def insert_truncating(self, edge: EdgeInsert, t: int) -> EdgeInsert:
         """Insert at position t, drop the last element, and return it."""
-        return self._edge(self.columns.insert_truncating(edge, t))
+        cols = self.columns
+        eid = edge.edge_id
+        if self.position_of(eid) <= len(self):
+            raise ValueError("edge already present in the timeline")
+        cols.order.insert(t - 1, eid)
+        dropped = cols.order.pop()
+        cols.head[eid], cols.tail[eid], cols.weight[eid] = edge.head, edge.tail, edge.weight
+        cols.position[dropped] = cols.absent
+        self._reindex(t, len(self))
+        return self._edge(dropped)
 
 
 def jumped_midpoint_range(t: int, t_prime: int, m: int) -> tuple[int, int] | None:

@@ -175,9 +175,9 @@ def test_absent_arrival_jumps_over_tail_positions(t1_padded, t1_edges):
 
 @pytest.mark.parametrize("edge_id", [10**12, -7])
 def test_unpredicted_arrival_with_a_far_edge_id(t1_padded, t1_edges, edge_id):
-    # The timeline's edge columns are indexed by edge id: an id far outside
+    # The timeline's edge columns are keyed by edge id: an id far outside
     # the timeline's range must cost no memory in proportion to its value,
-    # and a negative one must not index a list from its end.
+    # and a negative one must read back as its own edge.
     engine = OnlineEngine(t1_padded, list(t1_padded.sigma))
     arrivals = [t1_edges[0], EdgeInsert(edge_id, 0, 2, 1), t1_edges[1], t1_edges[2]]
     for edge in arrivals:
