@@ -25,7 +25,6 @@ from .model import (
     InsertSequence,
     ProblemInstance,
     align_prediction,
-    graph_at_time,
     pad_to_power_of_two,
     parse_instance,
     parse_prediction,
@@ -70,7 +69,6 @@ __all__ = [
     "exact_apsp_table",
     "exact_distance_table",
     "generate",
-    "graph_at_time",
     "hamming",
     "make_table",
     "min_threshold_objective",

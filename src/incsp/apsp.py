@@ -59,6 +59,8 @@ class OnlineApsp:
     def __init__(self, instance: ProblemInstance, prediction_edges: list[EdgeInsert]):
         padded = prepare_for_build(instance)
         aligned = align_prediction(prediction_edges, padded)
+        for e in aligned:
+            check_edge(e, padded.n, padded.W)
         if set(aligned.ids()) != set(padded.sigma.ids()):
             raise ValueError("prediction not a permutation")
         self.instance = padded

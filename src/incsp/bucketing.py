@@ -8,10 +8,6 @@ later comparison is made against the stored values, so rounding is
 reproducible bit for bit.  The accumulated float error of the repeated
 multiplication is a few machine epsilons, far below delta, and is inside
 the approximation budget.
-
-Indices returned by :meth:`BucketTable.round_up` use two sentinels:
-``ZERO`` for the exact distance 0 and ``UNREACHABLE_INDEX`` above every
-finite index.
 """
 
 from __future__ import annotations
@@ -22,9 +18,6 @@ from dataclasses import dataclass
 
 EPSILON_CAP = 1.79
 DEFAULT_FINE_CAP = 10_000_000
-
-ZERO = -1
-UNREACHABLE_INDEX = 1 << 62
 
 _INF = math.inf
 
@@ -61,30 +54,13 @@ class BucketTable:
     def k_coarse(self) -> int:
         return len(self.coarse) - 1
 
-    def round_up(self, value: float) -> int:
-        """Index of the smallest fine threshold >= value.
+    def round_up_value(self, value: float) -> float:
+        """Fine grid point >= value (0 and inf pass through).
 
         Grid points round to themselves.  Values above the last threshold
-        map to UNREACHABLE_INDEX; estimates produced by the engines never
-        get there because the grid covers the worst inflated distance.
+        map to inf; estimates produced by the engines never get there
+        because the grid covers the worst inflated distance.
         """
-        if value < 0:
-            raise ValueError("distances are nonnegative")
-        if value == 0:
-            return ZERO
-        if value > self.fine[-1]:
-            return UNREACHABLE_INDEX
-        return bisect_left(self.fine, value)
-
-    def value_of(self, index: int) -> float:
-        if index == ZERO:
-            return 0.0
-        if index == UNREACHABLE_INDEX:
-            return _INF
-        return self.fine[index]
-
-    def round_up_value(self, value: float) -> float:
-        """Fine grid point >= value (0 and inf pass through)."""
         if value < 0:
             raise ValueError("distances are nonnegative")
         if value == 0:
@@ -92,11 +68,6 @@ class BucketTable:
         if value > self.fine[-1]:
             return _INF
         return self.fine[bisect_left(self.fine, value)]
-
-    def coarse_cell(self, index: int) -> int:
-        if index == UNREACHABLE_INDEX:
-            raise ValueError("no coarse cell for unreachable")
-        return self.coarse_cell_of_value(self.value_of(index))
 
     def coarse_cell_of_value(self, value: float) -> int:
         """Index of the smallest coarse threshold >= value."""

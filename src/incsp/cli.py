@@ -162,7 +162,7 @@ def cmd_offline(args) -> int:
     instance = _load_instance(args.input, args.eps)
     m_raw = instance.sigma.real_len
     if args.reverse:
-        flipped = InsertSequence(list(reversed(list(instance.sigma))))
+        flipped = InsertSequence(reversed(instance.sigma))
         instance = replace(instance, sigma=flipped)
     padded = prepare_for_build(instance)
     t0 = time.perf_counter()

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 
 def _ids(seq) -> list[int]:
-    if hasattr(seq, "ids"):
-        return seq.ids()
     return [e.edge_id for e in seq]
 
 

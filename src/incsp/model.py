@@ -86,10 +86,17 @@ class InsertSequence:
 
     ``real_len`` marks where padding starts: edges at indices >= real_len
     are synthetic self-loops appended to reach a power-of-two length.
+
+    Two corrections rewrite the order: move_forward pulls an edge forward
+    and shifts the displaced block right, insert_truncating splices in a
+    new edge and drops the last one.  Both keep the edge list and the
+    columns current, at a cost linear in the shifted span.  Every
+    structure built on a sequence shares its columns, so only an online
+    engine calls the corrections, and only on the copy it owns.
     """
 
     def __init__(self, edges: Iterable[EdgeInsert], real_len: int | None = None):
-        self.edges: tuple[EdgeInsert, ...] = tuple(edges)
+        self.edges: list[EdgeInsert] = list(edges)
         self.real_len = len(self.edges) if real_len is None else real_len
         if len({e.edge_id for e in self.edges}) != len(self.edges):
             raise ValueError("duplicate edge id within a sequence")
@@ -125,6 +132,38 @@ class InsertSequence:
 
     def max_edge_id(self) -> int:
         return max((e.edge_id for e in self.edges), default=-1)
+
+    def _reindex(self, lo_pos: int, hi_pos: int) -> None:
+        order, position = self.columns.order, self.columns.position
+        for i in range(lo_pos - 1, hi_pos):
+            position[order[i]] = i + 1
+
+    def move_forward(self, edge_id: int, t: int) -> None:
+        """Move the edge to position t <= its current position."""
+        t_prime = self.position_of(edge_id)
+        if t_prime > len(self):
+            raise ValueError("edge not in the timeline")
+        if t > t_prime:
+            raise ValueError("can only move an edge toward the front")
+        self.edges.insert(t - 1, self.edges.pop(t_prime - 1))
+        order = self.columns.order
+        order.insert(t - 1, order.pop(t_prime - 1))
+        self._reindex(t, t_prime)
+
+    def insert_truncating(self, edge: EdgeInsert, t: int) -> EdgeInsert:
+        """Insert at position t, drop the last edge, and return it."""
+        cols = self.columns
+        eid = edge.edge_id
+        if self.position_of(eid) <= len(self):
+            raise ValueError("edge already present in the timeline")
+        self.edges.insert(t - 1, edge)
+        dropped = self.edges.pop()
+        cols.order.insert(t - 1, eid)
+        cols.order.pop()
+        cols.head[eid], cols.tail[eid], cols.weight[eid] = edge.head, edge.tail, edge.weight
+        cols.position[dropped.edge_id] = cols.absent
+        self._reindex(t, len(self))
+        return dropped
 
 
 @dataclass(frozen=True)
@@ -224,7 +263,7 @@ def pad_to_power_of_two(seq: InsertSequence, source: int, minimum: int = 1) -> I
         return seq
     next_id = seq.max_edge_id() + 1
     dummies = [EdgeInsert(next_id + i, source, source, 1) for i in range(target - len(seq))]
-    return InsertSequence(list(seq.edges) + dummies, real_len=seq.real_len)
+    return InsertSequence(seq.edges + dummies, real_len=seq.real_len)
 
 
 def prepare_for_build(instance: ProblemInstance) -> ProblemInstance:
@@ -318,16 +357,6 @@ def align_prediction(pred_edges: list[EdgeInsert], instance: ProblemInstance) ->
         out.append(EdgeInsert(next_id, instance.source, instance.source, 1))
         next_id += 1
     return InsertSequence(out)
-
-
-def graph_at_time(seq: InsertSequence, t: int, n: int) -> list[list[tuple[int, int]]]:
-    """Adjacency list (head, weight) of the graph holding the first t edges."""
-    if not 0 <= t <= len(seq):
-        raise ValueError("time out of range")
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for e in seq.edges[:t]:
-        adj[e.tail].append((e.head, e.weight))
-    return adj
 
 
 def parse_query_file(source, arity: int) -> list[tuple[int, ...]]:

@@ -5,14 +5,16 @@ consumes true arrivals one at a time.  Each arrival is reconciled with the
 prediction: a correctly predicted edge costs nothing, a mispredicted one is
 pulled forward to its true position (shifting the displaced block right),
 and an unpredicted one is spliced in while the prediction's last slot is
-truncated.  Only the prefixes the shift jumped over change, so the repair
-is confined to the subtree rooted at the shallowest node whose midpoint
-falls in that span, and within it resolve_subtree re-solves only the nodes
-whose inputs moved (a jumped prefix that touches their alive vertices, a
-changed interval end, or a moved inherited estimate); the rest are kept
-and counted as skipped.  An unpredicted arrival that moves the exact
-distances at time m runs the same pass from the root.  Repair cost thus
-tracks prediction quality rather than instance size.
+truncated.  Both corrections rewrite the engine's own copy of the
+prediction (a model.InsertSequence), never the caller's.  Only the
+prefixes the shift jumped over change, so the repair is confined to the
+subtree rooted at the shallowest node whose midpoint falls in that span,
+and within it resolve_subtree re-solves only the nodes whose inputs moved
+(a jumped prefix that touches their alive vertices, a changed interval
+end, or a moved inherited estimate); the rest are kept and counted as
+skipped.  An unpredicted arrival that moves the exact distances at time m
+runs the same pass from the root.  Repair cost thus tracks prediction
+quality rather than instance size.
 
 A live distance array D is kept in sync after every arrival by replaying
 the alive-vertex estimate sets of the repaired time span in ascending
@@ -26,7 +28,6 @@ from dataclasses import dataclass, replace
 
 from .model import (
     UNREACHABLE,
-    EdgeColumns,
     EdgeInsert,
     InsertSequence,
     ProblemInstance,
@@ -41,74 +42,6 @@ from .offline import (
     shallowest_midpoint,
     structures_equal,
 )
-
-
-class PredictionTimeline:
-    """Mutable positional edge sequence with 1-based lookup.
-
-    Supports exactly the two corrections the engine needs: pulling an edge
-    forward (with a right shift of the displaced block) and inserting a new
-    edge while truncating the final slot.  Absent edges report position
-    ``len + 1``.  Shift cost is linear in the displaced span, which the
-    rebuild accounting already pays for.  The edges live only in columns
-    (model.EdgeColumns), which both corrections keep current, so structures
-    built on the timeline read the corrected positions.
-    """
-
-    def __init__(self, edges):
-        edges = list(edges)
-        if len({e.edge_id for e in edges}) != len(edges):
-            raise ValueError("duplicate edge id within a sequence")
-        self.columns = EdgeColumns(edges)
-
-    def __len__(self) -> int:
-        return len(self.columns.order)
-
-    def __iter__(self):
-        return map(self._edge, self.columns.order)
-
-    def __getitem__(self, i: int) -> EdgeInsert:
-        return self._edge(self.columns.order[i])
-
-    def _edge(self, edge_id: int) -> EdgeInsert:
-        cols = self.columns
-        return EdgeInsert(edge_id, cols.tail[edge_id], cols.head[edge_id], cols.weight[edge_id])
-
-    def position_of(self, edge_id: int) -> int:
-        return self.columns.position_of(edge_id)
-
-    def ids(self) -> list[int]:
-        return list(self.columns.order)
-
-    def _reindex(self, lo_pos: int, hi_pos: int) -> None:
-        order, position = self.columns.order, self.columns.position
-        for i in range(lo_pos - 1, hi_pos):
-            position[order[i]] = i + 1
-
-    def move_forward(self, edge_id: int, t: int) -> None:
-        """Move the edge to position t <= its current position."""
-        t_prime = self.position_of(edge_id)
-        if t_prime > len(self):
-            raise ValueError("edge not in the timeline")
-        if t > t_prime:
-            raise ValueError("can only move an edge toward the front")
-        order = self.columns.order
-        order.pop(t_prime - 1)
-        order.insert(t - 1, edge_id)
-        self._reindex(t, t_prime)
-
-    def insert_truncating(self, edge: EdgeInsert, t: int) -> EdgeInsert:
-        """Insert at position t, drop the last element, and return it."""
-        cols = self.columns
-        eid = edge.edge_id
-        if self.position_of(eid) <= len(self):
-            raise ValueError("edge already present in the timeline")
-        cols.order.insert(t - 1, eid)
-        dropped = cols.order.pop()
-        cols.head[eid], cols.tail[eid], cols.weight[eid] = edge.head, edge.tail, edge.weight
-        cols.position[dropped] = cols.absent
-        self._reindex(t, len(self))
-        return self._edge(dropped)
 
 
 def jumped_midpoint_range(t: int, t_prime: int, m: int) -> tuple[int, int] | None:
@@ -193,7 +126,9 @@ class OnlineEngine:
 
     ``instance`` carries the true timeline only for its parameters; the
     arrivals themselves are fed through insert() so a caller may stream
-    them.  ``prediction`` must already have the instance's padded length.
+    them.  ``prediction`` must already have the instance's padded length;
+    its edges are checked like arrivals and copied into ``timeline``, the
+    engine's own sequence, which the corrections rewrite.
     """
 
     def __init__(self, instance: ProblemInstance, prediction, table=None):
@@ -201,9 +136,11 @@ class OnlineEngine:
         self.m = instance.m
         self.n = instance.n
         self.source = instance.source
-        self.timeline = PredictionTimeline(prediction)
+        self.timeline = InsertSequence(prediction)
         if len(self.timeline) != self.m:
             raise ValueError("prediction length must match the padded timeline")
+        for e in self.timeline:
+            check_edge(e, self.n, instance.W)
         pred_instance = replace(instance, sigma=self.timeline)
         self.structure = build_offline(pred_instance, table=table, with_entry_times=False)
         self.t = 0
@@ -325,9 +262,12 @@ class OnlineEngine:
         return writes
 
     def fresh_rebuild(self) -> OfflineStructure:
-        """From-scratch build on the current corrected timeline (test hook)."""
-        snapshot = InsertSequence(list(self.timeline))
-        pred_instance = replace(self.instance, sigma=snapshot)
+        """From-scratch build on the current corrected timeline (test hook).
+
+        The copy builds its own columns from the edge list, so comparing
+        against it also checks that the corrections kept the two in step.
+        """
+        pred_instance = replace(self.instance, sigma=InsertSequence(self.timeline))
         return build_offline(pred_instance, table=self.structure.table, with_entry_times=False)
 
     def matches_fresh_build(self) -> bool:
@@ -342,7 +282,5 @@ def start_online(instance: ProblemInstance, prediction_edges: list[EdgeInsert] |
     """
     padded = prepare_for_build(instance)
     if prediction_edges is None:
-        aligned = InsertSequence(list(padded.sigma))
-    else:
-        aligned = align_prediction(prediction_edges, padded)
-    return OnlineEngine(padded, aligned)
+        return OnlineEngine(padded, padded.sigma)
+    return OnlineEngine(padded, align_prediction(prediction_edges, padded))

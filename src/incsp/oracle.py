@@ -11,17 +11,11 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 
-from .metrics import compute_profile, min_threshold_objective
+from .metrics import _ids, compute_profile, min_threshold_objective
 from .model import UNREACHABLE, EdgeInsert, ProblemInstance, align_prediction, prepare_for_build
 from .online import OnlineEngine
 
 DEFAULT_ORACLE_BUDGET = 200_000_000
-
-
-def _ids(seq) -> list[int]:
-    if hasattr(seq, "ids"):
-        return seq.ids()
-    return [e.edge_id for e in seq]
 
 
 def dijkstra_exact(edges: list[EdgeInsert], n: int, source: int) -> list[float]:

@@ -13,6 +13,10 @@ T1_TEXT = """3 4 8 1.0 0
 0 1 1
 """
 
+# Three vertices, three edges, W=4: the instance the validation tests
+# feed out-of-range vertices and weights to.
+W4_TEXT = "3 3 4 1.0 0\n0 1 2\n1 2 3\n0 2 4\n"
+
 INF = float("inf")
 
 T1_ORACLE_ROWS = [

@@ -4,9 +4,10 @@ import pytest
 
 from incsp.apsp import OnlineApsp, build_apsp
 from incsp.metrics import compute_profile
-from incsp.model import UNREACHABLE, EdgeInsert, prepare_for_build
+from incsp.model import UNREACHABLE, EdgeInsert, parse_instance, prepare_for_build
 from incsp.oracle import exact_apsp_table, verify_apsp_offline
 from incsp.workload import PerturbationSpec, generate, perturb
+from tests.conftest import W4_TEXT
 
 
 # -- offline all-pairs -------------------------------------------------------------
@@ -143,6 +144,20 @@ def test_non_permutation_prediction_rejected():
     pred = list(prepare_for_build(inst).sigma)
     pred[1] = phantom
     with pytest.raises(ValueError, match="not a permutation"):
+        OnlineApsp(inst, pred)
+
+
+@pytest.mark.parametrize(
+    "tail, head, weight",
+    [(0, 7, 2), (0, -1, 2), (0, 1, 0), (0, 1, 99)],
+    ids=["head-out-of-range", "head-negative", "weight-0", "weight-above-W"],
+)
+def test_invalid_predicted_edge_rejected(tail, head, weight):
+    # the bad edge keeps a true edge's id, so the permutation check passes
+    inst = parse_instance(W4_TEXT)
+    pred = list(prepare_for_build(inst).sigma)
+    pred[0] = EdgeInsert(pred[0].edge_id, tail, head, weight)
+    with pytest.raises(ValueError, match="out of range"):
         OnlineApsp(inst, pred)
 
 

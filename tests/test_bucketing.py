@@ -4,13 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from incsp.bucketing import (
-    UNREACHABLE_INDEX,
-    ZERO,
-    BucketTable,
-    derive_internal_epsilon,
-    make_table,
-)
+from incsp.bucketing import BucketTable, derive_internal_epsilon, make_table
 
 
 def test_internal_epsilon_examples():
@@ -63,36 +57,36 @@ def _delta_half_table():
 def test_round_up_examples():
     table = _delta_half_table()
     assert table.fine[:5] == pytest.approx([1.0, 1.5, 2.25, 3.375, 5.0625])
-    assert table.round_up(5.0) == 4
-    assert table.round_up(2.25) == 2  # exact grid points map to themselves
-    assert table.round_up(0.0) == ZERO
+    assert table.round_up_value(5.0) == table.fine[4]
+    assert table.round_up_value(2.25) == table.fine[2]  # exact grid points map to themselves
+    assert table.round_up_value(0.0) == 0.0
 
 
 def test_round_up_rejects_negative():
     table = _delta_half_table()
     with pytest.raises(ValueError):
-        table.round_up(-1.0)
+        table.round_up_value(-1.0)
 
 
 def test_round_up_beyond_grid_is_unreachable():
     table = _delta_half_table()
-    assert table.round_up(table.fine[-1] * 2) == UNREACHABLE_INDEX
+    assert table.round_up_value(table.fine[-1] * 2) == math.inf
 
 
 def test_value_of_sentinels():
     table = _delta_half_table()
-    assert table.value_of(ZERO) == 0.0
-    assert table.value_of(UNREACHABLE_INDEX) == math.inf
-    assert table.value_of(4) == table.fine[4]
+    assert table.round_up_value(0.0) == 0.0
+    assert table.round_up_value(math.inf) == math.inf
+    assert table.round_up_value(table.fine[4]) == table.fine[4]
 
 
 def test_coarse_cell_examples():
     table = _delta_half_table()
-    assert table.coarse_cell(ZERO) == 0
+    assert table.coarse_cell_of_value(0.0) == 0
     # delta == epsilon_internal here, so both grids coincide
-    assert table.coarse_cell(4) == 4
+    assert table.coarse_cell_of_value(table.fine[4]) == 4
     with pytest.raises(ValueError):
-        table.coarse_cell(UNREACHABLE_INDEX)
+        table.coarse_cell_of_value(math.inf)
 
 
 def test_grid_covers_inflated_estimates():
@@ -112,12 +106,12 @@ positive_values = st.floats(
 @given(positive_values)
 def test_round_up_sandwich(value):
     table = make_table(0.25, m=8, n=40, W=250)
-    idx = table.round_up(value)
-    if idx == UNREACHABLE_INDEX:
+    rounded = table.round_up_value(value)
+    if rounded == math.inf:
         assert value > table.fine[-1]
         return
-    rounded = table.value_of(idx)
     assert value <= rounded
+    idx = table.fine.index(rounded)  # raises unless rounded is a grid point
     if idx > 0:
         # nearest power: the previous threshold is strictly below the value
         assert table.fine[idx - 1] < value
@@ -129,13 +123,13 @@ def test_round_up_sandwich(value):
 def test_round_up_monotone(a, b):
     table = make_table(0.25, m=8, n=40, W=250)
     lo, hi = min(a, b), max(a, b)
-    assert table.round_up(lo) <= table.round_up(hi)
+    assert table.round_up_value(lo) <= table.round_up_value(hi)
 
 
 def test_round_up_idempotent_on_grid_points():
     table = make_table(0.25, m=8, n=10, W=16)
     for k, threshold in enumerate(table.fine):
-        assert table.round_up(threshold) == k
+        assert table.round_up_value(threshold) == table.fine[k]
 
 
 def test_tables_deterministic():

@@ -9,7 +9,6 @@ from incsp.model import (
     EdgeInsert,
     InsertSequence,
     align_prediction,
-    graph_at_time,
     pad_to_power_of_two,
     parse_instance,
     parse_prediction,
@@ -100,27 +99,6 @@ def test_positions_with_far_edge_ids():
 def test_duplicate_ids_rejected():
     with pytest.raises(ValueError, match="duplicate edge id"):
         InsertSequence([EdgeInsert(0, 0, 1, 1), EdgeInsert(0, 1, 2, 1)])
-
-
-def test_graph_at_time_prefixes(t1):
-    g0 = graph_at_time(t1.sigma, 0, t1.n)
-    assert all(not adj for adj in g0)
-    g2 = graph_at_time(t1.sigma, 2, t1.n)
-    present = {(u, v, w) for u, adj in enumerate(g2) for v, w in adj}
-    assert present == {(0, 1, 4), (1, 2, 2)}
-    g4 = graph_at_time(t1.sigma, 4, t1.n)
-    assert sum(len(adj) for adj in g4) == 4
-    with pytest.raises(ValueError):
-        graph_at_time(t1.sigma, 5, t1.n)
-
-
-def test_graph_prefix_monotone(t1):
-    previous = set()
-    for t in range(t1.m + 1):
-        g = graph_at_time(t1.sigma, t, t1.n)
-        current = {(u, v, w) for u, adj in enumerate(g) for v, w in adj}
-        assert previous <= current
-        previous = current
 
 
 def test_prepare_for_build_pads_to_minimum_two():

@@ -16,20 +16,19 @@ from incsp.model import (
 from incsp.offline import structures_equal
 from incsp.online import (
     OnlineEngine,
-    PredictionTimeline,
     jumped_midpoint_range,
     start_online,
 )
 from incsp.oracle import exact_distance_table
 from incsp.workload import PerturbationSpec, generate, perturb
-from tests.conftest import T1_ORACLE_ROWS, assert_alive_sets_nested
+from tests.conftest import T1_ORACLE_ROWS, W4_TEXT, assert_alive_sets_nested
 
 
 # -- prediction timeline bookkeeping -------------------------------------------
 
 
 def _timeline(t1_edges):
-    return PredictionTimeline(list(t1_edges))
+    return InsertSequence(t1_edges)
 
 
 def test_positions_are_one_based(t1_edges):
@@ -51,6 +50,8 @@ def test_insert_truncating_drops_the_tail(t1_edges):
     fresh = EdgeInsert(50, 2, 1, 7)
     dropped = tl.insert_truncating(fresh, 2)
     assert dropped.edge_id == 3
+    assert dropped is t1_edges[3]
+    assert tl[1] is fresh
     assert tl.ids() == [0, 50, 1, 2]
     assert len(tl) == 4
     assert tl.position_of(3) == 5
@@ -227,9 +228,6 @@ def test_unarrived_edge_below_t_raises_value_error(t1_padded, t1_permuted):
         engine.insert(first)
 
 
-W4_TEXT = "3 3 4 1.0 0\n0 1 2\n1 2 3\n0 2 4\n"
-
-
 def _engine_state(engine):
     s = engine.structure
     cols = engine.timeline.columns
@@ -272,6 +270,20 @@ def test_invalid_arrival_rejected_without_mutation(bad):
     assert engine.matches_fresh_build()
 
 
+@pytest.mark.parametrize(
+    "tail, head, weight",
+    [(0, 7, 2), (0, -1, 2), (0, 1, 0), (0, 1, 99)],
+    ids=["head-out-of-range", "head-negative", "weight-0", "weight-above-W"],
+)
+def test_invalid_predicted_edge_rejected(tail, head, weight):
+    # A negative vertex id would otherwise index vertex n-1 silently.
+    inst = parse_instance(W4_TEXT)
+    pred = list(inst.sigma)
+    pred[1] = EdgeInsert(100, tail, head, weight)
+    with pytest.raises(ValueError, match="out of range"):
+        start_online(inst, pred)
+
+
 def test_prediction_length_must_match(t1_padded, t1_edges):
     short = InsertSequence(t1_edges[:2])
     with pytest.raises(ValueError, match="length"):
@@ -302,6 +314,30 @@ def test_prefix_agreement_random():
         engine.insert(edge)
         arrived.append(edge.edge_id)
         assert engine.timeline.ids()[: len(arrived)] == arrived
+
+
+def _sequence_state(seq):
+    cols = seq.columns
+    return (
+        list(seq.edges),
+        [column.copy() for column in (cols.head, cols.tail, cols.weight, cols.position, cols.order)],
+        cols.absent,
+    )
+
+
+def test_replays_leave_shared_sequences_unchanged():
+    # Structures built on a sequence share its columns, so an engine must
+    # apply its corrections to its own copy of the prediction.
+    inst = generate(n=8, m=32, W=6, seed=4, epsilon=0.5)
+    padded = prepare_for_build(inst)
+    aligned = align_prediction(perturb(inst, PerturbationSpec("replace", p=0.05, seed=5)), padded)
+    before = [_sequence_state(padded.sigma), _sequence_state(aligned)]
+    replays = [(start_online(inst), list(aligned)), (OnlineEngine(padded, aligned), list(padded.sigma))]
+    for engine, arrivals in replays:
+        for edge in arrivals:
+            engine.insert(edge)
+        assert engine.counters.case_counts["absent"] > 0
+    assert [_sequence_state(padded.sigma), _sequence_state(aligned)] == before
 
 
 def test_untouched_nodes_keep_their_objects():
