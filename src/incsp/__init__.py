@@ -14,7 +14,6 @@ from .metrics import (
     ErrorProfile,
     compute_profile,
     edit_distance,
-    edges_over_threshold,
     hamming,
     min_threshold_objective,
     per_edge_displacement,
@@ -65,7 +64,6 @@ __all__ = [
     "compute_profile",
     "derive_internal_epsilon",
     "edit_distance",
-    "edges_over_threshold",
     "exact_apsp_table",
     "exact_distance_table",
     "generate",

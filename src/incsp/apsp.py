@@ -14,7 +14,9 @@ from bisect import bisect_right
 from dataclasses import replace
 
 from .bucketing import derive_internal_epsilon, make_table
-from .model import UNREACHABLE, EdgeInsert, ProblemInstance, align_prediction, check_edge, prepare_for_build
+from .model import (
+    UNREACHABLE, EdgeInsert, ProblemInstance, align_prediction, check_edge, check_prediction, prepare_for_build,
+)
 from .offline import OfflineStructure, build_offline, dijkstra
 
 
@@ -38,7 +40,7 @@ class ApspStructure:
         return self.per_source[i].query_with_cost(j, t)
 
 
-def build_apsp(instance: ProblemInstance, with_entry_times: bool = True) -> ApspStructure:
+def build_apsp(instance: ProblemInstance) -> ApspStructure:
     """n single-source builds over the same timeline and bucket table.
 
     Padding self-loops sit at the instance's nominal source; a self-loop
@@ -46,21 +48,21 @@ def build_apsp(instance: ProblemInstance, with_entry_times: bool = True) -> Apsp
     """
     padded = prepare_for_build(instance)
     table = make_table(derive_internal_epsilon(padded.epsilon), padded.m, padded.n, padded.W)
-    per_source = [
-        build_offline(replace(padded, source=s), table=table, with_entry_times=with_entry_times)
-        for s in range(padded.n)
-    ]
+    per_source = [build_offline(replace(padded, source=s), table=table) for s in range(padded.n)]
     return ApspStructure(per_source, table)
 
 
 class OnlineApsp:
-    """Arrival tracking and patched queries over a predicted permutation."""
+    """Arrival tracking and patched queries over a predicted permutation.
+
+    The prediction's edges are checked like arrivals, and it must hold
+    exactly the true edge ids, each with its true triple.
+    """
 
     def __init__(self, instance: ProblemInstance, prediction_edges: list[EdgeInsert]):
         padded = prepare_for_build(instance)
         aligned = align_prediction(prediction_edges, padded)
-        for e in aligned:
-            check_edge(e, padded.n, padded.W)
+        check_prediction(aligned, padded)
         if set(aligned.ids()) != set(padded.sigma.ids()):
             raise ValueError("prediction not a permutation")
         self.instance = padded

@@ -17,7 +17,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from .apsp import OnlineApsp, build_apsp
 from .bucketing import derive_internal_epsilon
@@ -55,15 +55,6 @@ def _sanitize(value):
     return value
 
 
-def _emit_json(doc: dict, out_path: str | None) -> None:
-    text = json.dumps(_sanitize(doc), indent=2, sort_keys=True) + "\n"
-    if out_path in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w") as f:
-            f.write(text)
-
-
 def _write_text(text: str, out_path: str | None) -> None:
     if out_path in (None, "-"):
         sys.stdout.write(text)
@@ -72,9 +63,14 @@ def _write_text(text: str, out_path: str | None) -> None:
             f.write(text)
 
 
+def _emit_json(doc: dict, out_path: str | None) -> None:
+    _write_text(json.dumps(_sanitize(doc), indent=2, sort_keys=True) + "\n", out_path)
+
+
 def _write_csv(rows: list[dict], fieldnames: list[str], path: str) -> None:
+    """The named columns of each row; csv writes an unreachable answer (math.inf) as inf."""
     with open(path, "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=fieldnames)
+        writer = csv.DictWriter(f, fieldnames=fieldnames, extrasaction="ignore")
         writer.writeheader()
         writer.writerows(rows)
 
@@ -122,10 +118,6 @@ def _rebuilds_by_level(per_node: list[int], m: int) -> dict[str, int]:
         key = str(level)
         out[key] = out.get(key, 0) + per_node[mid]
     return out
-
-
-def _answer_repr(value: float):
-    return None if value == math.inf else value
 
 
 # -- subcommands -------------------------------------------------------------
@@ -182,7 +174,7 @@ def cmd_offline(args) -> int:
                 value, cost = structure.query_with_cost(v, m_raw - t)
             else:
                 value, cost = structure.query_with_cost(v, t)
-            answers.append({"v": v, "t": t, "answer": _answer_repr(value), "comparisons": cost})
+            answers.append({"v": v, "t": t, "answer": value, "comparisons": cost})
         query_s = time.perf_counter() - t0
 
     stats = structure.stats
@@ -203,14 +195,7 @@ def cmd_offline(args) -> int:
     }
     _emit_json(doc, args.out)
     if args.csv:
-        _write_csv(
-            [
-                {**a, "answer": "inf" if a["answer"] is None else a["answer"]}
-                for a in answers
-            ],
-            ["v", "t", "answer", "comparisons"],
-            args.csv,
-        )
+        _write_csv(answers, ["v", "t", "answer", "comparisons"], args.csv)
     return 0
 
 
@@ -247,42 +232,15 @@ def cmd_online(args) -> int:
             "d_writes": counters.d_writes,
             "case_counts": counters.case_counts,
         },
-        "final_distances": [_answer_repr(d) for d in engine.D],
+        "final_distances": engine.D,
         "timings": {"preprocess_s": preprocess_s, "run_s": run_s},
     }
+    rows = [asdict(r) for r in reports]
     if args.trace:
-        doc["trace"] = [
-            {
-                "t": r.t,
-                "edge_id": r.edge_id,
-                "case": r.case,
-                "predicted_position": r.predicted_position,
-                "jumped_positions": r.jumped_positions,
-                "rebuilt_interval": r.rebuilt_interval,
-                "nodes_rebuilt": r.nodes_rebuilt,
-                "nodes_skipped": r.nodes_skipped,
-                "full_rebuild": r.full_rebuild,
-                "d_writes": r.d_writes,
-            }
-            for r in reports
-        ]
+        doc["trace"] = rows
     _emit_json(doc, args.out)
     if args.csv:
-        _write_csv(
-            [
-                {
-                    "t": r.t,
-                    "edge_id": r.edge_id,
-                    "case": r.case,
-                    "predicted_position": r.predicted_position,
-                    "nodes_rebuilt": r.nodes_rebuilt,
-                    "d_writes": r.d_writes,
-                }
-                for r in reports
-            ],
-            ["t", "edge_id", "case", "predicted_position", "nodes_rebuilt", "d_writes"],
-            args.csv,
-        )
+        _write_csv(rows, ["t", "edge_id", "case", "predicted_position", "nodes_rebuilt", "d_writes"], args.csv)
     return 0
 
 
@@ -305,7 +263,7 @@ def cmd_apsp(args) -> int:
             for i, j in pairs:
                 value = state.query(i, j)
                 patch_max = max(patch_max, state.last_patch_vertices)
-                answers.append({"i": i, "j": j, "answer": _answer_repr(value)})
+                answers.append({"i": i, "j": j, "answer": value})
             steps.append(
                 {
                     "t": state.t,
@@ -329,12 +287,7 @@ def cmd_apsp(args) -> int:
         }
         _emit_json(doc, args.out)
         if args.csv:
-            rows = [
-                {"t": s["t"], "i": a["i"], "j": a["j"],
-                 "answer": "inf" if a["answer"] is None else a["answer"]}
-                for s in steps
-                for a in s["answers"]
-            ]
+            rows = [{"t": s["t"], **a} for s in steps for a in s["answers"]]
             _write_csv(rows, ["t", "i", "j", "answer"], args.csv)
         return 0
 
@@ -347,7 +300,7 @@ def cmd_apsp(args) -> int:
     answers = []
     for i, j, t in triples:
         value, cost = structure.query_with_cost(i, j, t)
-        answers.append({"i": i, "j": j, "t": t, "answer": _answer_repr(value), "comparisons": cost})
+        answers.append({"i": i, "j": j, "t": t, "answer": value, "comparisons": cost})
     query_s = time.perf_counter() - t0
     doc = {
         "command": "apsp",
@@ -358,11 +311,7 @@ def cmd_apsp(args) -> int:
     }
     _emit_json(doc, args.out)
     if args.csv:
-        _write_csv(
-            [{**a, "answer": "inf" if a["answer"] is None else a["answer"]} for a in answers],
-            ["i", "j", "t", "answer", "comparisons"],
-            args.csv,
-        )
+        _write_csv(answers, ["i", "j", "t", "answer", "comparisons"], args.csv)
     return 0
 
 
@@ -379,6 +328,12 @@ def cmd_metrics(args) -> int:
     }
     _emit_json(doc, args.out)
     return 0
+
+
+_VERIFY_ONLINE_KEYS = (
+    "ok", "violations", "jump_budget", "rebuild_budget", "worst_jumps",
+    "worst_rebuilds", "nodes_rebuilt", "full_rebuilds", "fresh_build_checked",
+)
 
 
 def cmd_verify(args) -> int:
@@ -402,80 +357,13 @@ def cmd_verify(args) -> int:
         report = verify_online_run(
             padded, prediction, rows=rows, fresh_build_limit=args.fresh_limit, budget=args.budget
         )
-        doc["online"] = {
-            "ok": report["ok"],
-            "violations": report["violations"],
-            "jump_budget": report["jump_budget"],
-            "rebuild_budget": report["rebuild_budget"],
-            "worst_jumps": report["worst_jumps"],
-            "worst_rebuilds": report["worst_rebuilds"],
-            "nodes_rebuilt": report["nodes_rebuilt"],
-            "full_rebuilds": report["full_rebuilds"],
-            "fresh_build_checked": report["fresh_build_checked"],
-            "profile": report["profile"].to_dict(),
-        }
+        doc["online"] = {key: report[key] for key in _VERIFY_ONLINE_KEYS}
+        doc["online"]["profile"] = report["profile"].to_dict()
         ok = ok and report["ok"]
 
     doc["ok"] = ok
     _emit_json(doc, args.out)
     return 0 if ok else 3
-
-
-def cmd_bench(args) -> int:
-    import random
-
-    instance = _load_instance(args.input, args.eps)
-    padded = prepare_for_build(instance)
-    rng = random.Random(args.seed)
-
-    t0 = time.perf_counter()
-    structure = build_offline(padded)
-    build_s = time.perf_counter() - t0
-
-    samples = [
-        (rng.randrange(padded.n), rng.randrange(padded.m + 1)) for _ in range(args.samples)
-    ]
-    t0 = time.perf_counter()
-    max_comparisons = 0
-    for v, t in samples:
-        _, cost = structure.query_with_cost(v, t)
-        max_comparisons = max(max_comparisons, cost)
-    query_s = time.perf_counter() - t0
-
-    doc = {
-        "command": "bench",
-        "params": _instance_params(instance, padded),
-        "grid": _grid_params(structure.table),
-        "offline": {
-            "nodes_solved": structure.stats.nodes_solved,
-            "total_alive_edges": structure.stats.total_alive_edges,
-            "query_samples": len(samples),
-            "max_query_comparisons": max_comparisons,
-        },
-        "timings": {"build_s": build_s, "query_s": query_s},
-    }
-
-    if args.pred:
-        prediction = _load_prediction(args.pred, padded)
-        aligned = align_prediction(prediction, padded)
-        t0 = time.perf_counter()
-        engine = OnlineEngine(padded, aligned)
-        preprocess_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        for e in padded.sigma:
-            engine.insert(e)
-        run_s = time.perf_counter() - t0
-        doc["online"] = {
-            "nodes_rebuilt": engine.counters.nodes_rebuilt,
-            "alive_edge_work": engine.counters.alive_edge_work,
-            "total_jumps": engine.counters.total_jumps,
-            "full_rebuilds": engine.counters.full_rebuilds,
-        }
-        doc["timings"]["preprocess_s"] = preprocess_s
-        doc["timings"]["run_s"] = run_s
-
-    _emit_json(doc, args.out)
-    return 0
 
 
 # -- argument wiring ---------------------------------------------------------
@@ -552,15 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--budget", type=int, default=DEFAULT_ORACLE_BUDGET)
     g.add_argument("--out", default="-")
     g.set_defaults(func=cmd_verify)
-
-    g = sub.add_parser("bench", help="time the build, queries, and online run")
-    g.add_argument("--input", required=True)
-    g.add_argument("--pred", default=None)
-    g.add_argument("--eps", type=float, default=None)
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--samples", type=int, default=200)
-    g.add_argument("--out", default="-")
-    g.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -68,14 +68,6 @@ def edit_distance(sigma, sigma_hat) -> int:
     return len(a) + len(b) - 2 * longest_common_length(sigma, sigma_hat)
 
 
-def edges_over_threshold(sigma, sigma_hat, tau: int) -> set[int]:
-    """Edge ids of sigma displaced by more than tau positions."""
-    if tau < 0:
-        raise ValueError("threshold must be nonnegative")
-    etas = per_edge_displacement(sigma, sigma_hat)
-    return {eid for eid, eta in etas.items() if eta > tau}
-
-
 def over_threshold_counts(etas: dict[int, int], m: int) -> list[int]:
     """counts[tau] = number of edges displaced by more than tau, tau = 0..m."""
     ordered = sorted(etas.values())

@@ -51,6 +51,15 @@ def check_edge(edge: EdgeInsert, n: int, W: int) -> None:
         raise ValueError("weight out of range")
 
 
+def check_prediction(prediction: Iterable[EdgeInsert], instance: ProblemInstance) -> None:
+    """check_edge every predicted edge, and reject one that gives a true edge's id another triple."""
+    true_triples = {e.edge_id: e.triple for e in instance.sigma}
+    for e in prediction:
+        check_edge(e, instance.n, instance.W)
+        if true_triples.get(e.edge_id, e.triple) != e.triple:
+            raise ValueError(f"predicted edge {e.edge_id} conflicts with the true edge of that id")
+
+
 class EdgeColumns:
     """The fields of a timeline's edges, one dict per field, keyed by edge id.
 
@@ -194,6 +203,22 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
+def _parse_edge_line(lineno: int, line: str, n: int, W: int) -> tuple[int, int, int]:
+    """The (tail, head, weight) of one edge line, range-checked against n and W."""
+    tokens = line.split()
+    if len(tokens) != 3:
+        raise ValueError(f"line {lineno}: malformed line, expected 'tail head weight'")
+    try:
+        tail, head, weight = int(tokens[0]), int(tokens[1]), int(tokens[2])
+    except ValueError:
+        raise ValueError(f"line {lineno}: malformed line") from None
+    if not (0 <= tail < n and 0 <= head < n):
+        raise ValueError(f"line {lineno}: vertex id out of range")
+    if not 1 <= weight <= W:
+        raise ValueError(f"line {lineno}: weight out of range")
+    return (tail, head, weight)
+
+
 def parse_instance(source) -> ProblemInstance:
     """Parse an instance file; raises ValueError with the offending line."""
     lines = _content_lines(_read_text(source))
@@ -225,22 +250,11 @@ def parse_instance(source) -> ProblemInstance:
     edges = []
     seen: set[tuple[int, int, int]] = set()
     for edge_id, (lineno, line) in enumerate(body):
-        tokens = line.split()
-        if len(tokens) != 3:
-            raise ValueError(f"line {lineno}: malformed line, expected 'tail head weight'")
-        try:
-            tail, head, weight = int(tokens[0]), int(tokens[1]), int(tokens[2])
-        except ValueError:
-            raise ValueError(f"line {lineno}: malformed line") from None
-        if not (0 <= tail < n and 0 <= head < n):
-            raise ValueError(f"line {lineno}: vertex id out of range")
-        if not 1 <= weight <= W:
-            raise ValueError(f"line {lineno}: weight out of range")
-        triple = (tail, head, weight)
+        triple = _parse_edge_line(lineno, line, n, W)
         if triple in seen:
             raise ValueError(f"line {lineno}: duplicate edge {triple}")
         seen.add(triple)
-        edges.append(EdgeInsert(edge_id, tail, head, weight))
+        edges.append(EdgeInsert(edge_id, *triple))
     return ProblemInstance(n=n, W=W, epsilon=epsilon, source=src, sigma=InsertSequence(edges))
 
 
@@ -293,18 +307,7 @@ def parse_prediction(source, instance: ProblemInstance) -> list[EdgeInsert]:
     next_id = instance.sigma.max_edge_id() + 1
     out: list[EdgeInsert] = []
     for lineno, line in lines:
-        tokens = line.split()
-        if len(tokens) != 3:
-            raise ValueError(f"line {lineno}: malformed line, expected 'tail head weight'")
-        try:
-            tail, head, weight = int(tokens[0]), int(tokens[1]), int(tokens[2])
-        except ValueError:
-            raise ValueError(f"line {lineno}: malformed line") from None
-        if not (0 <= tail < instance.n and 0 <= head < instance.n):
-            raise ValueError(f"line {lineno}: vertex id out of range")
-        if not 1 <= weight <= instance.W:
-            raise ValueError(f"line {lineno}: weight out of range")
-        triple = (tail, head, weight)
+        triple = _parse_edge_line(lineno, line, instance.n, instance.W)
         queue = queues.get(triple)
         if queue:
             out.append(queue.popleft())
@@ -312,7 +315,7 @@ def parse_prediction(source, instance: ProblemInstance) -> list[EdgeInsert]:
             raise ValueError(f"line {lineno}: duplicate edge {triple}")
         else:
             phantom_triples.add(triple)
-            out.append(EdgeInsert(next_id, tail, head, weight))
+            out.append(EdgeInsert(next_id, *triple))
             next_id += 1
     return out
 

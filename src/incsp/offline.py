@@ -175,27 +175,35 @@ def _children_stale(
     return out
 
 
-class BuildStats:
-    """Work counters for one full build.
+class SolveCounters:
+    """Work counters for solver passes: one full build, or every repair pass of a run.
 
-    scan_work sums the lengths of the edge lists the solved nodes scanned,
-    each right child's narrowed inner list included.
+    node_solved runs once per Dijkstra, so rebuilds_per_node,
+    alive_edges_per_node and alive_nodes_per_vertex accumulate per solve
+    (after a build they describe each node's single solve).  Nodes a repair
+    pass keeps without a Dijkstra count in nodes_skipped only.  scan_work
+    sums the lengths of the edge lists the solved nodes scanned, each right
+    child's narrowed inner list included.
     """
 
     def __init__(self, n: int, m: int):
+        self.rebuilds_per_node = [0] * m  # indexed by midpoint
         self.alive_edges_per_node = [0] * m  # indexed by midpoint
         self.alive_nodes_per_vertex = [0] * n
+        self.nodes_solved = 0
+        self.nodes_skipped = 0
         self.total_alive_edges = 0
         self.scan_work = 0
-        self.nodes_solved = 0
 
     def node_solved(self, mid, scanned, alive_edge_count, alive_vertices):
-        self.alive_edges_per_node[mid] = alive_edge_count
+        self.rebuilds_per_node[mid] += 1
+        self.alive_edges_per_node[mid] += alive_edge_count
+        per_vertex = self.alive_nodes_per_vertex
         for v in alive_vertices:
-            self.alive_nodes_per_vertex[v] += 1
+            per_vertex[v] += 1
+        self.nodes_solved += 1
         self.total_alive_edges += alive_edge_count
         self.scan_work += scanned
-        self.nodes_solved += 1
 
 
 def dijkstra(adj, source: int) -> dict[int, float]:
@@ -245,7 +253,7 @@ class OfflineStructure:
         if with_entry_times:
             cells = len(table.coarse)
             self.entry_times = [[self.unset] * cells for _ in range(self.n)]
-        self.stats = BuildStats(self.n, m)
+        self.stats = SolveCounters(self.n, m)
 
     # -- estimate resolution -------------------------------------------------
 
@@ -294,8 +302,7 @@ class OfflineStructure:
         hi_est: dict[int, float],
         edges_hi: list[int],
         above: list[float],
-        sink,
-        update_entry: bool,
+        sink: SolveCounters,
         change: TimelineChange | None = None,
         diff: _InputDiff | None = None,
     ) -> None:
@@ -321,7 +328,7 @@ class OfflineStructure:
         """
         mid = (lo + hi) // 2
         if change is None:
-            node, inner = self._solve_node(lo, hi, lo_est, hi_est, edges_hi, above, sink, update_entry)
+            node, inner = self._solve_node(lo, hi, lo_est, hi_est, edges_hi, above, sink)
         else:
             old = self.nodes[mid]
             if self._subtree_kept(lo, hi, edges_hi, diff, change):
@@ -331,7 +338,7 @@ class OfflineStructure:
                 node, inner = old, edges_hi
                 sink.nodes_skipped += 1
             else:
-                node, inner = self._solve_node(lo, hi, lo_est, hi_est, edges_hi, above, sink, update_entry)
+                node, inner = self._solve_node(lo, hi, lo_est, hi_est, edges_hi, above, sink)
         if hi - lo <= 2:
             return
         estimates, alive_edges = node.alive_estimates, node.alive_edges
@@ -344,20 +351,21 @@ class OfflineStructure:
         for v, value in estimates.items():
             above[v] = value
         if change is None:
-            self._solve(lo, mid, lo_est, estimates, alive_edges, above, sink, update_entry)
-            self._solve(mid, hi, estimates, hi_est, inner, above, sink, update_entry)
+            self._solve(lo, mid, lo_est, estimates, alive_edges, above, sink)
+            self._solve(mid, hi, estimates, hi_est, inner, above, sink)
         else:
-            self._solve(lo, mid, lo_est, estimates, alive_edges, above, sink, update_entry, change, left)
-            self._solve(mid, hi, estimates, hi_est, inner, above, sink, update_entry, change, right)
+            self._solve(lo, mid, lo_est, estimates, alive_edges, above, sink, change, left)
+            self._solve(mid, hi, estimates, hi_est, inner, above, sink, change, right)
         for v, value in zip(estimates, undo):
             above[v] = value
 
-    def _solve_node(self, lo, hi, lo_est, hi_est, edges_hi, above, sink, update_entry):
+    def _solve_node(self, lo, hi, lo_est, hi_est, edges_hi, above, sink):
         """Solve and store the node covering [lo, hi] (arguments as in _solve).
 
         Returns the node and inner, the edges of edges_hi whose head is in
         its alive set, whatever their position: the list the right child
-        scans.
+        scans.  Entry times are recorded when the structure keeps query
+        tables.
         """
         mid = (lo + hi) // 2
         cols = self.cols
@@ -403,7 +411,7 @@ class OfflineStructure:
         for v in alive_set:
             value = table.round_up_value(dist.get(v, UNREACHABLE))
             estimates[v] = value
-            if update_entry and value != UNREACHABLE:
+            if rows is not None and value != UNREACHABLE:
                 row = rows[v]
                 cell = table.coarse_cell_of_value(value)
                 if mid < row[cell]:
@@ -496,9 +504,7 @@ class OfflineStructure:
             self._prefix_change_visible(nodes[p].alive_estimates, p, change) for p in range(first, last + 1)
         )
 
-    def resolve_subtree(
-        self, lo: int, hi: int, sink, change: TimelineChange | None = None, update_entry: bool = False
-    ) -> None:
+    def resolve_subtree(self, lo: int, hi: int, sink: SolveCounters, change: TimelineChange | None = None) -> None:
         """(Re)solve the node covering [lo, hi] and its descendants.
 
         Without a change every node is solved.  With one, the nodes outside
@@ -524,13 +530,13 @@ class OfflineStructure:
         for v, est in inherited.items():
             above[v] = est
         if change is None:
-            self._solve(lo, hi, lo_est, hi_est, edges_hi, above, sink, update_entry)
+            self._solve(lo, hi, lo_est, hi_est, edges_hi, above, sink)
         else:
             # A moved base entry reaches above[v] only where no ancestor holds v.
             stale = {v: old for v, old in change.old_base.items() if v not in inherited}
             # Only a root pass has moved base entries, and its hi end is time m.
             diff = _InputDiff(set(), set(change.old_base), stale)
-            self._solve(lo, hi, lo_est, hi_est, edges_hi, above, sink, update_entry, change, diff)
+            self._solve(lo, hi, lo_est, hi_est, edges_hi, above, sink, change, diff)
 
     def recompute_base(self) -> dict[int, float]:
         """Refresh the exact distances at time m; map each moved entry to its old value."""
@@ -621,7 +627,7 @@ def build_offline(
     structure.recompute_base()
     if with_entry_times:
         structure._record_anchor_entries()
-    structure.resolve_subtree(0, structure.m, structure.stats, update_entry=with_entry_times)
+    structure.resolve_subtree(0, structure.m, structure.stats)
     if with_entry_times:
         structure._finalize_entry_times()
     return structure

@@ -33,10 +33,12 @@ from .model import (
     ProblemInstance,
     align_prediction,
     check_edge,
+    check_prediction,
     prepare_for_build,
 )
 from .offline import (
     OfflineStructure,
+    SolveCounters,
     TimelineChange,
     build_offline,
     shallowest_midpoint,
@@ -57,47 +59,30 @@ def jumped_midpoint_range(t: int, t_prime: int, m: int) -> tuple[int, int] | Non
     return lo, hi
 
 
-class RebuildSink:
-    """Per-node re-solve counters; fed by the structure's solver.
+class RunCounters:
+    """Run totals over every arrival of one engine.
 
-    Only real re-solves count toward rebuilds_per_node and nodes_rebuilt;
-    nodes a repair pass keeps without a Dijkstra count in nodes_skipped.
-    scan_work sums the lengths of the edge lists the re-solved nodes
-    scanned, as BuildStats.scan_work does.
+    sink is the SolveCounters that every repair pass feeds, so
+    nodes_rebuilt counts real re-solves and sink.nodes_skipped the nodes
+    kept without one; full_rebuilds counts root passes after the time-m
+    anchor moved.
     """
 
-    def __init__(self, m: int):
-        self.rebuilds_per_node = [0] * m  # indexed by midpoint
-        self.nodes_rebuilt = 0
-        self.nodes_skipped = 0
-        self.alive_edge_work = 0
-        self.scan_work = 0
-
-    def node_solved(self, mid, scanned, alive_edge_count, alive_vertices):
-        self.rebuilds_per_node[mid] += 1
-        self.nodes_rebuilt += 1
-        self.alive_edge_work += alive_edge_count
-        self.scan_work += scanned
-
-
-class RunCounters:
-    """Run totals; full_rebuilds counts root passes after the time-m anchor moved."""
-
-    def __init__(self, m: int):
+    def __init__(self, n: int, m: int):
         self.jumps_per_position = [0] * (m + 2)  # 1-based positions 1..m
         self.total_jumps = 0
-        self.sink = RebuildSink(m)
+        self.sink = SolveCounters(n, m)
         self.full_rebuilds = 0
         self.case_counts = {"match": 0, "moved": 0, "absent": 0}
         self.d_writes = 0
 
     @property
     def nodes_rebuilt(self) -> int:
-        return self.sink.nodes_rebuilt
+        return self.sink.nodes_solved
 
     @property
     def alive_edge_work(self) -> int:
-        return self.sink.alive_edge_work
+        return self.sink.total_alive_edges
 
 
 @dataclass(frozen=True)
@@ -124,11 +109,13 @@ class InsertReport:
 class OnlineEngine:
     """Single-source estimates maintained across a run of true arrivals.
 
-    ``instance`` carries the true timeline only for its parameters; the
-    arrivals themselves are fed through insert() so a caller may stream
-    them.  ``prediction`` must already have the instance's padded length;
-    its edges are checked like arrivals and copied into ``timeline``, the
-    engine's own sequence, which the corrections rewrite.
+    ``instance`` gives the parameters and the true timeline; the arrivals
+    themselves are fed through insert() so a caller may stream them.
+    ``prediction`` must already have the instance's padded length; its
+    edges are checked like arrivals, and one that gives a true edge's id a
+    different triple is rejected here, since that edge could never arrive.
+    The prediction is copied into ``timeline``, the engine's own sequence,
+    which the corrections rewrite.
     """
 
     def __init__(self, instance: ProblemInstance, prediction, table=None):
@@ -139,20 +126,14 @@ class OnlineEngine:
         self.timeline = InsertSequence(prediction)
         if len(self.timeline) != self.m:
             raise ValueError("prediction length must match the padded timeline")
-        for e in self.timeline:
-            check_edge(e, self.n, instance.W)
+        check_prediction(self.timeline, instance)
         pred_instance = replace(instance, sigma=self.timeline)
         self.structure = build_offline(pred_instance, table=table, with_entry_times=False)
         self.t = 0
         self.D: list[float] = [UNREACHABLE] * self.n
         self.D[self.source] = 0.0
-        self.counters = RunCounters(self.m)
+        self.counters = RunCounters(self.n, self.m)
         self._arrived: set[int] = set()
-
-    def current_distance(self, v: int) -> float:
-        if not 0 <= v < self.n:
-            raise ValueError("vertex id out of range")
-        return self.D[v]
 
     def insert(self, edge: EdgeInsert) -> InsertReport:
         """Apply one true arrival; a rejected arrival leaves the engine unchanged."""
@@ -193,7 +174,7 @@ class OnlineEngine:
             jumped_positions = None
 
         sink = self.counters.sink
-        rebuilt_before, skipped_before = sink.nodes_rebuilt, sink.nodes_skipped
+        rebuilt_before, skipped_before = sink.nodes_solved, sink.nodes_skipped
         midrange = jumped_midpoint_range(t, t_prime, m)
         moved = self.structure.recompute_base() if case == "absent" else {}
         change = TimelineChange(midrange, edge.edge_id, moved)
@@ -224,7 +205,7 @@ class OnlineEngine:
             predicted_position=t_prime,
             jumped_positions=jumped_positions,
             rebuilt_interval=rebuilt_interval,
-            nodes_rebuilt=sink.nodes_rebuilt - rebuilt_before,
+            nodes_rebuilt=sink.nodes_solved - rebuilt_before,
             nodes_skipped=sink.nodes_skipped - skipped_before,
             full_rebuild=full_rebuild,
             d_writes=d_writes,

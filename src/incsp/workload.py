@@ -15,6 +15,15 @@ from dataclasses import dataclass
 from .model import EdgeInsert, InsertSequence, ProblemInstance
 
 
+def _random_triple(rng: random.Random, n: int, W: int) -> tuple[int, int, int]:
+    """A uniform non-self-loop (tail, head, weight)."""
+    tail = rng.randrange(n)
+    head = rng.randrange(n - 1)
+    if head >= tail:
+        head += 1
+    return (tail, head, rng.randint(1, W))
+
+
 def generate(
     n: int,
     m: int,
@@ -54,11 +63,7 @@ def generate(
         seen: set[tuple[int, int, int]] = set()
         triples = []
         while len(triples) < m:
-            tail = rng.randrange(n)
-            head = rng.randrange(n - 1)
-            if head >= tail:
-                head += 1
-            triple = (tail, head, rng.randint(1, W))
+            triple = _random_triple(rng, n, W)
             if triple not in seen:
                 seen.add(triple)
                 triples.append(triple)
@@ -130,14 +135,9 @@ def perturb(instance: ProblemInstance, spec: PerturbationSpec) -> list[EdgeInser
         out = list(edges)
         fresh: set[tuple[int, int, int]] = set()
         for pos in positions:
-            while True:
-                tail = rng.randrange(instance.n)
-                head = rng.randrange(instance.n - 1)
-                if head >= tail:
-                    head += 1
-                triple = (tail, head, rng.randint(1, instance.W))
-                if triple not in existing and triple not in fresh:
-                    break
+            triple = _random_triple(rng, instance.n, instance.W)
+            while triple in existing or triple in fresh:
+                triple = _random_triple(rng, instance.n, instance.W)
             fresh.add(triple)
             out[pos] = EdgeInsert(next_id, *triple)
             next_id += 1

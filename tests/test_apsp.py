@@ -161,6 +161,15 @@ def test_invalid_predicted_edge_rejected(tail, head, weight):
         OnlineApsp(inst, pred)
 
 
+def test_prediction_conflicting_with_a_true_edge_rejected():
+    # a permutation of the true ids, but the true 0->1 (id 0) has weight 2
+    inst = parse_instance(W4_TEXT)
+    pred = list(prepare_for_build(inst).sigma)
+    pred[0] = EdgeInsert(0, 0, 1, 3)
+    with pytest.raises(ValueError, match="conflicts with the true edge"):
+        OnlineApsp(inst, pred)
+
+
 def test_online_insert_validation():
     inst = _three_edge_instance()
     padded = prepare_for_build(inst)

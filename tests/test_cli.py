@@ -266,17 +266,6 @@ def test_verify_exit_code_on_violations(capsys, t1_file, monkeypatch):
     assert doc["offline_violations"]
 
 
-def test_bench_runs(capsys, t1_file, t1_pred_file):
-    code, doc = run_json(
-        capsys, "bench", "--input", t1_file, "--pred", t1_pred_file, "--samples", "50"
-    )
-    assert code == 0
-    assert doc["offline"]["query_samples"] == 50
-    assert doc["offline"]["max_query_comparisons"] >= 0
-    assert "nodes_rebuilt" in doc["online"]
-    assert "run_s" in doc["timings"]
-
-
 # -- exit codes and plumbing -------------------------------------------------------
 
 

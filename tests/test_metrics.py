@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from incsp.metrics import (
     compute_profile,
-    edges_over_threshold,
     edit_distance,
     hamming,
     longest_common_length,
@@ -40,8 +39,9 @@ def test_t1_profile(t1_padded, t1_permuted):
 
 
 def test_t1_high_sets(t1_padded, t1_permuted):
-    assert edges_over_threshold(t1_padded.sigma, t1_permuted, 0) == {0, 1}
-    assert edges_over_threshold(t1_padded.sigma, t1_permuted, 1) == set()
+    etas = per_edge_displacement(t1_padded.sigma, t1_permuted)
+    assert {eid for eid, eta in etas.items() if eta > 0} == {0, 1}
+    assert {eid for eid, eta in etas.items() if eta > 1} == set()
 
 
 def test_profile_to_dict_round_trips(t1_padded, t1_permuted):
@@ -100,11 +100,6 @@ def test_objective_weight_doubles_the_cardinality_term():
     assert min_threshold_objective(etas, 6, weight=1) == (0, 2)  # tau=0: 0+2
     tau, value = min_threshold_objective(etas, 6, weight=2)
     assert value == min(t + 2 * c for t, c in enumerate(over_threshold_counts(etas, 6)))
-
-
-def test_negative_threshold_rejected(t1_padded, t1_permuted):
-    with pytest.raises(ValueError, match="nonnegative"):
-        edges_over_threshold(t1_padded.sigma, t1_permuted, -1)
 
 
 # -- properties --------------------------------------------------------------------

@@ -107,7 +107,7 @@ def test_t1_per_step_sandwich(t1_padded, t1_permuted):
         engine.insert(edge)
         for v in range(t1_padded.n):
             exact = T1_ORACLE_ROWS[t][v]
-            estimate = engine.current_distance(v)
+            estimate = engine.D[v]
             if exact == UNREACHABLE:
                 assert estimate == UNREACHABLE
             else:
@@ -134,9 +134,9 @@ def test_identity_prediction_never_rebuilds(t1_padded):
 
 def test_before_any_insert_only_source_is_reachable(t1_padded, t1_permuted):
     engine = OnlineEngine(t1_padded, t1_permuted)
-    assert engine.current_distance(t1_padded.source) == 0.0
-    assert engine.current_distance(1) == UNREACHABLE
-    assert engine.current_distance(2) == UNREACHABLE
+    assert engine.D[t1_padded.source] == 0.0
+    assert engine.D[1] == UNREACHABLE
+    assert engine.D[2] == UNREACHABLE
 
 
 # -- the absent-edge case ---------------------------------------------------------
@@ -284,16 +284,19 @@ def test_invalid_predicted_edge_rejected(tail, head, weight):
         start_online(inst, pred)
 
 
+def test_prediction_conflicting_with_a_true_edge_rejected():
+    # the true 0->1 (id 0) has weight 2, so the predicted id-0 edge could never arrive
+    inst = parse_instance(W4_TEXT)
+    pred = list(inst.sigma)
+    pred[0] = EdgeInsert(0, 0, 1, 3)
+    with pytest.raises(ValueError, match="conflicts with the true edge"):
+        start_online(inst, pred)
+
+
 def test_prediction_length_must_match(t1_padded, t1_edges):
     short = InsertSequence(t1_edges[:2])
     with pytest.raises(ValueError, match="length"):
         OnlineEngine(t1_padded, short)
-
-
-def test_current_distance_validates_vertex(t1_padded, t1_permuted):
-    engine = OnlineEngine(t1_padded, t1_permuted)
-    with pytest.raises(ValueError):
-        engine.current_distance(3)
 
 
 # -- invariants on random runs -----------------------------------------------------
@@ -526,7 +529,7 @@ def test_window_shuffle_replay_skips_nodes():
     sink = engine.counters.sink
     assert sink.nodes_skipped == sum(r.nodes_skipped for r in reports) > 0
     # skipped nodes stay out of the per-node rebuild counts
-    assert sink.nodes_rebuilt == sum(r.nodes_rebuilt for r in reports) == sum(sink.rebuilds_per_node)
+    assert sink.nodes_solved == sum(r.nodes_rebuilt for r in reports) == sum(sink.rebuilds_per_node)
     assert engine.matches_fresh_build()
 
 
