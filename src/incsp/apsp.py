@@ -6,6 +6,12 @@ true edge set; arrivals advance a frontier through the predicted order, and
 queries run Dijkstra on a small patch whose size is bounded by the count of
 arrived-but-not-yet-frontier-covered edges (at most the maximum
 displacement of the permutation).
+
+The per-source structures never change after the build, so an online patch
+lookup depends only on (u, v, frontier).  `OnlineApsp` memoises the lookups
+made at the current frontier, at most n(n-1) of them, and drops them when an
+arrival advances the frontier; it also keeps the pending edges' min-weight
+map and vertex set, which any accepted arrival drops.
 """
 
 from __future__ import annotations
@@ -57,6 +63,13 @@ class OnlineApsp:
 
     The prediction's edges are checked like arrivals, and it must hold
     exactly the true edge ids, each with its true triple.
+
+    Two caches make repeated queries cheap.  `_lookups[u][v]` holds
+    `apsp.per_source[u].query(v, frontier)`: at most n(n-1) entries, dropped
+    when an arrival advances the frontier.  `_patch` holds the pending
+    edges' min-weight `direct` map and their vertex set: built by the first
+    query after an arrival, dropped by every accepted arrival.  A rejected
+    arrival touches neither.
     """
 
     def __init__(self, instance: ProblemInstance, prediction_edges: list[EdgeInsert]):
@@ -78,6 +91,8 @@ class OnlineApsp:
         self.frontier_advances = 0
         self.insert_comparisons = 0
         self.last_patch_vertices = 0
+        self._lookups: dict[int, dict[int, float]] = {}
+        self._patch: tuple[dict[tuple[int, int], int], set[int]] | None = None
 
     def insert(self, edge: EdgeInsert) -> None:
         """Record one true arrival; a rejected arrival leaves the engine unchanged."""
@@ -105,9 +120,13 @@ class OnlineApsp:
             else:
                 hi = mid
         positions.insert(lo, p)
+        self._patch = None
+        old_frontier = self.frontier
         while self.frontier < self.m and self._arrived_flags[self.frontier + 1]:
             self.frontier += 1
             self.frontier_advances += 1
+        if self.frontier != old_frontier:
+            self._lookups = {}
         self.t += 1
 
     def pending_edges(self) -> list[EdgeInsert]:
@@ -122,25 +141,30 @@ class OnlineApsp:
         if i == j:
             self.last_patch_vertices = 1
             return 0.0
-        extras = self.pending_edges()
-        verts = {i, j}
-        direct: dict[tuple[int, int], int] = {}
-        for e in extras:
-            verts.add(e.tail)
-            verts.add(e.head)
-            key = (e.tail, e.head)
-            if e.weight < direct.get(key, UNREACHABLE):
-                direct[key] = e.weight
+        if self._patch is None:
+            direct: dict[tuple[int, int], int] = {}
+            pending = set()
+            for e in self.pending_edges():
+                pending.add(e.tail)
+                pending.add(e.head)
+                key = (e.tail, e.head)
+                if e.weight < direct.get(key, UNREACHABLE):
+                    direct[key] = e.weight
+            self._patch = (direct, pending)
+        direct, verts = self._patch
+        verts = verts | {i, j}
         self.last_patch_vertices = len(verts)
         t_prime = self.frontier
         ordered = sorted(verts)
         adj: dict[int, list[tuple[int, float]]] = {u: [] for u in ordered}
         for u in ordered:
-            source_structure = self.apsp.per_source[u]
+            row = self._lookups.setdefault(u, {})
             for v in ordered:
                 if u == v:
                     continue
-                w = source_structure.query(v, t_prime)
+                w = row.get(v)
+                if w is None:
+                    w = row[v] = self.apsp.per_source[u].query(v, t_prime)
                 dw = direct.get((u, v))
                 if dw is not None and dw < w:
                     w = dw

@@ -5,6 +5,7 @@ import pytest
 from incsp.apsp import OnlineApsp, build_apsp
 from incsp.metrics import compute_profile
 from incsp.model import UNREACHABLE, EdgeInsert, parse_instance, prepare_for_build
+from incsp.offline import dijkstra
 from incsp.oracle import exact_apsp_table, verify_apsp_offline
 from incsp.workload import PerturbationSpec, generate, perturb
 from tests.conftest import W4_TEXT
@@ -216,6 +217,75 @@ def test_online_insert_rejects_bad_edge_without_mutation(tail, head, weight):
         online.insert(edge)
     assert online.frontier == online.m
     assert 5 <= online.query(0, 2) <= 5 * (1 + inst.epsilon)
+
+
+def _unmemoised_query(online, i, j):
+    """The patched query rebuilt from scratch: (answer, patch vertex count)."""
+    if i == j:
+        return 0.0, 1
+    verts = {i, j}
+    direct = {}
+    for e in online.pending_edges():
+        verts.add(e.tail)
+        verts.add(e.head)
+        key = (e.tail, e.head)
+        if e.weight < direct.get(key, UNREACHABLE):
+            direct[key] = e.weight
+    ordered = sorted(verts)
+    adj = {u: [] for u in ordered}
+    for u in ordered:
+        for v in ordered:
+            if u == v:
+                continue
+            w = online.apsp.per_source[u].query(v, online.frontier)
+            dw = direct.get((u, v))
+            if dw is not None and dw < w:
+                w = dw
+            if w != UNREACHABLE:
+                adj[u].append((v, w))
+    return dijkstra(adj, i).get(j, UNREACHABLE), len(verts)
+
+
+def _bad_arrivals(edge, n, W):
+    # the five rejected kinds above, each reusing a not-yet-arrived predicted id
+    eid, tail, head, weight = edge.edge_id, edge.tail, edge.head, edge.weight
+    return [
+        EdgeInsert(eid, tail, head, 0),
+        EdgeInsert(eid, -1, head, weight),
+        EdgeInsert(eid, tail, head, W + 1),
+        EdgeInsert(eid, tail, n, weight),
+        EdgeInsert(eid, tail, head, weight % W + 1),
+    ]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_memoised_queries_match_unmemoised_patch(seed):
+    inst = generate(n=10, m=64, W=8, seed=50 + seed, epsilon=0.5)
+    padded = prepare_for_build(inst)
+    online = OnlineApsp(inst, perturb(inst, PerturbationSpec("window_shuffle", seed=seed, k=6)))
+    rng = random.Random(seed)
+    arrivals = list(padded.sigma)
+
+    def check_queries():
+        pairs = [(rng.randrange(padded.n), rng.randrange(padded.n)) for _ in range(4)]
+        for i, j in pairs + pairs:  # the repeats hit the memo at this frontier
+            got = online.query(i, j)
+            assert (got, online.last_patch_vertices) == _unmemoised_query(online, i, j)
+
+    for step, edge in enumerate(arrivals):
+        if step % 3 == 0:
+            check_queries()
+        if step % 2:
+            kinds = _bad_arrivals(arrivals[rng.randrange(step, len(arrivals))], padded.n, padded.W)
+            bad = kinds[(step // 2) % len(kinds)]
+            before = _apsp_state(online)
+            with pytest.raises(ValueError):
+                online.insert(bad)
+            assert _apsp_state(online) == before
+            check_queries()
+        online.insert(edge)
+        check_queries()
+    assert online.frontier == online.m
 
 
 # -- online correctness and patch bounds ---------------------------------------------

@@ -9,8 +9,9 @@ must say so and re-pin.
 """
 
 import hashlib
+import random
 
-from incsp.apsp import build_apsp
+from incsp.apsp import OnlineApsp, build_apsp
 from incsp.model import align_prediction, prepare_for_build
 from incsp.offline import build_offline
 from incsp.online import OnlineEngine
@@ -59,3 +60,19 @@ def test_apsp_per_source_builds_are_pinned():
     apsp = build_apsp(generate(n=12, m=128, W=8, seed=23, epsilon=0.5))
     digest = hashlib.sha256("".join(_structure_digest(s) for s in apsp.per_source).encode())
     assert digest.hexdigest() == "be8797415e108f30b85a154997bfa44dfc4faf492cad80ffb164730397f76c59"
+
+
+def test_online_apsp_answers_are_pinned():
+    inst = generate(n=12, m=128, W=8, seed=29, epsilon=0.5)
+    padded = prepare_for_build(inst)
+    online = OnlineApsp(inst, perturb(inst, PerturbationSpec("window_shuffle", seed=5, k=8)))
+    rng = random.Random(31)
+    h = hashlib.sha256()
+    for edge in padded.sigma:
+        online.insert(edge)
+        for _ in range(8):
+            i, j = rng.randrange(padded.n), rng.randrange(padded.n)
+            h.update(repr((i, j, online.query(i, j), online.last_patch_vertices)).encode())
+    assert h.hexdigest() == (
+        "85abf093f2916ed47a5de606c76556329e168b7c933dbb579898d349c863f2b8"
+    )
