@@ -37,6 +37,7 @@ from .oracle import (
     brute_edit_distance,
     exact_apsp_table,
     exact_distance_table,
+    exact_rows,
     verify_apsp_offline,
     verify_offline,
     verify_online_run,
@@ -66,6 +67,7 @@ __all__ = [
     "edit_distance",
     "exact_apsp_table",
     "exact_distance_table",
+    "exact_rows",
     "generate",
     "hamming",
     "make_table",

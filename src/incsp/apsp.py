@@ -87,7 +87,6 @@ class OnlineApsp:
         self.frontier = 0  # all predicted positions 1..frontier have arrived
         self._arrived_flags = [False] * (self.m + 2)
         self._arrived_positions: list[int] = []  # sorted predicted positions
-        self._arrived_ids: set[int] = set()
         self.frontier_advances = 0
         self.insert_comparisons = 0
         self.last_patch_vertices = 0
@@ -99,14 +98,13 @@ class OnlineApsp:
         check_edge(edge, self.n, self.instance.W)
         if self.t >= self.m:
             raise ValueError("more than m insertions")
-        if edge.edge_id in self._arrived_ids:
-            raise ValueError("duplicate insertion")
         p = self.prediction.position_of(edge.edge_id)
         if p > self.m:
             raise ValueError("arriving edge is not part of the predicted permutation")
+        if self._arrived_flags[p]:
+            raise ValueError("duplicate insertion")
         if self.prediction[p - 1].triple != edge.triple:
             raise ValueError("arriving edge conflicts with its predicted description")
-        self._arrived_ids.add(edge.edge_id)
         self._arrived_flags[p] = True
         # Hand-rolled insertion point search so the comparison count is
         # observable; the list insert itself is the keyed-store write.

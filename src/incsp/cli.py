@@ -34,13 +34,7 @@ from .model import (
 )
 from .offline import build_offline, tree_level
 from .online import OnlineEngine
-from .oracle import (
-    DEFAULT_ORACLE_BUDGET,
-    exact_distance_table,
-    oracle_self_check,
-    verify_offline,
-    verify_online_run,
-)
+from .oracle import exact_rows, oracle_self_check, verify_offline, verify_online_run
 from .workload import PerturbationSpec, generate, perturb
 
 
@@ -339,12 +333,11 @@ _VERIFY_ONLINE_KEYS = (
 def cmd_verify(args) -> int:
     instance = _load_instance(args.input, args.eps)
     padded = prepare_for_build(instance)
-    rows = exact_distance_table(padded, args.budget)
     if not oracle_self_check(padded, stride=max(1, padded.m // 8)):
-        raise ValueError("oracle self-check failed: Dijkstra and Bellman-Ford disagree")
+        raise ValueError("oracle self-check failed: the streaming oracle, Dijkstra and Bellman-Ford disagree")
 
     structure = build_offline(padded)
-    offline_violations = verify_offline(structure, rows, padded.epsilon)
+    offline_violations = verify_offline(structure, exact_rows(padded), padded.epsilon)
     doc = {
         "command": "verify",
         "params": _instance_params(instance, padded),
@@ -354,9 +347,7 @@ def cmd_verify(args) -> int:
 
     if args.pred:
         prediction = _load_prediction(args.pred, padded)
-        report = verify_online_run(
-            padded, prediction, rows=rows, fresh_build_limit=args.fresh_limit, budget=args.budget
-        )
+        report = verify_online_run(padded, prediction, fresh_build_limit=args.fresh_limit)
         doc["online"] = {key: report[key] for key in _VERIFY_ONLINE_KEYS}
         doc["online"]["profile"] = report["profile"].to_dict()
         ok = ok and report["ok"]
@@ -437,7 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--pred", default=None)
     g.add_argument("--eps", type=float, default=None)
     g.add_argument("--fresh-limit", type=int, default=64)
-    g.add_argument("--budget", type=int, default=DEFAULT_ORACLE_BUDGET)
     g.add_argument("--out", default="-")
     g.set_defaults(func=cmd_verify)
 

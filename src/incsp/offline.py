@@ -235,10 +235,8 @@ class OfflineStructure:
         if m < 2 or m & (m - 1):
             raise ValueError("build requires a power-of-two timeline of length >= 2")
         self.n = instance.n
-        self.W = instance.W
         self.m = m
         self.source = instance.source
-        self.epsilon_input = instance.epsilon
         self.table = table
         self.cols = instance.sigma.columns  # model.EdgeColumns, shared by every structure on this timeline
         self.nodes: list[RecursionNode | None] = [None] * m

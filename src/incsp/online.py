@@ -133,14 +133,15 @@ class OnlineEngine:
         self.D: list[float] = [UNREACHABLE] * self.n
         self.D[self.source] = 0.0
         self.counters = RunCounters(self.n, self.m)
-        self._arrived: set[int] = set()
 
     def insert(self, edge: EdgeInsert) -> InsertReport:
         """Apply one true arrival; a rejected arrival leaves the engine unchanged."""
         check_edge(edge, self.n, self.instance.W)
         if self.t >= self.m:
             raise ValueError("more than m insertions")
-        if edge.edge_id in self._arrived:
+        t_prime = self.timeline.position_of(edge.edge_id)
+        # Positions 1..t of the timeline hold exactly the arrived edges.
+        if t_prime <= self.t:
             raise ValueError("duplicate insertion")
         known = self.timeline.columns.triple(edge.edge_id)
         if known is not None and known != edge.triple:
@@ -148,11 +149,6 @@ class OnlineEngine:
 
         t = self.t + 1
         m = self.m
-        t_prime = self.timeline.position_of(edge.edge_id)
-        # Positions 1..t-1 hold exactly the arrived edges, so an unarrived
-        # edge can never sit at a position below t.
-        if t_prime < t:
-            raise ValueError("an unarrived edge sits among the arrived prefix")
 
         if t_prime == t:
             case = "match"
@@ -195,7 +191,6 @@ class OnlineEngine:
             self.structure.resolve_subtree(x - span, x + span, sink, change)
 
         self.t = t
-        self._arrived.add(edge.edge_id)
         d_writes = self._refresh_estimates(rebuilt_interval, t)
         self.counters.d_writes += d_writes
         return InsertReport(

@@ -1,21 +1,21 @@
 """Ground truth and verification.
 
 Everything here recomputes answers from first principles, separately from
-the structures under test: per-prefix distances come from a standalone
-Dijkstra (cross-checkable against an equally standalone Bellman-Ford), and
-edit distance from the classic quadratic DP.  Each prefix is computed from
-scratch; independence is worth more than speed at verification scale.
+the structures under test.  Per-prefix distances stream from an insert-only
+change-propagation oracle (Ramalingam & Reps, J. Algorithms 1996), which
+keeps one O(n) distance row; a standalone Dijkstra and Bellman-Ford
+recompute sampled prefixes from scratch to cross-check it.  Edit distance
+comes from the classic quadratic DP.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from heapq import heappop, heappush
 
 from .metrics import _ids, compute_profile, min_threshold_objective
 from .model import UNREACHABLE, EdgeInsert, ProblemInstance, align_prediction, prepare_for_build
 from .online import OnlineEngine
-
-DEFAULT_ORACLE_BUDGET = 200_000_000
 
 
 def dijkstra_exact(edges: list[EdgeInsert], n: int, source: int) -> list[float]:
@@ -57,38 +57,56 @@ def bellman_ford(edges: list[EdgeInsert], n: int, source: int) -> list[float]:
     return dist
 
 
-def _check_budget(work: int, budget: int) -> None:
-    if work > budget:
-        raise ValueError(f"oracle budget exceeded (estimated work {work} > {budget})")
+def exact_rows(instance: ProblemInstance, source: int | None = None) -> Iterator[list[float]]:
+    """Yield the exact distance row from source (default: the instance's)
+    after each prefix t = 0..m; every row is a fresh list.
+
+    An inserted edge u->v can only lower distances reachable from v, so a
+    Dijkstra seeded at v with its improved distance relaxes outward and
+    stops where nothing improves.
+    """
+    n = instance.n
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    dist: list[float] = [UNREACHABLE] * n
+    dist[instance.source if source is None else source] = 0
+    yield dist[:]
+    for e in instance.sigma:
+        adj[e.tail].append((e.head, e.weight))
+        nd = dist[e.tail] + e.weight
+        if nd < dist[e.head]:
+            dist[e.head] = nd
+            heap = [(nd, e.head)]
+            while heap:
+                d, u = heappop(heap)
+                if d > dist[u]:
+                    continue
+                for v, w in adj[u]:
+                    nv = d + w
+                    if nv < dist[v]:
+                        dist[v] = nv
+                        heappush(heap, (nv, v))
+        yield dist[:]
 
 
-def exact_distance_table(instance: ProblemInstance, budget: int = DEFAULT_ORACLE_BUDGET) -> list[list[float]]:
+def exact_distance_table(instance: ProblemInstance) -> list[list[float]]:
     """rows[t][v] = exact distance from the source in the first-t-edges graph."""
-    m, n = instance.m, instance.n
-    _check_budget((m + 1) * (n + m + 1), budget)
-    edges = list(instance.sigma)
-    return [dijkstra_exact(edges[:t], n, instance.source) for t in range(m + 1)]
+    return list(exact_rows(instance))
 
 
-def exact_apsp_table(instance: ProblemInstance, budget: int = DEFAULT_ORACLE_BUDGET) -> list[list[list[float]]]:
+def exact_apsp_table(instance: ProblemInstance) -> list[list[list[float]]]:
     """rows[t][s][v] = exact distance from s in the first-t-edges graph."""
-    m, n = instance.m, instance.n
-    _check_budget((m + 1) * n * (n + m + 1), budget)
-    edges = list(instance.sigma)
-    return [
-        [dijkstra_exact(edges[:t], n, s) for s in range(n)]
-        for t in range(m + 1)
-    ]
+    return [list(per_source) for per_source in zip(*(exact_rows(instance, s) for s in range(instance.n)))]
 
 
 def oracle_self_check(instance: ProblemInstance, stride: int = 1) -> bool:
-    """Dijkstra / Bellman-Ford agreement on every stride-th prefix."""
-    edges = list(instance.sigma)
-    for t in range(0, instance.m + 1, max(1, stride)):
-        if dijkstra_exact(edges[:t], instance.n, instance.source) != bellman_ford(
-            edges[:t], instance.n, instance.source
-        ):
-            return False
+    """exact_rows / Dijkstra / Bellman-Ford agreement on every stride-th prefix."""
+    stride = max(1, stride)
+    edges, n, source = list(instance.sigma), instance.n, instance.source
+    for t, row in enumerate(exact_rows(instance)):
+        if t % stride == 0:
+            prefix = edges[:t]
+            if not row == dijkstra_exact(prefix, n, source) == bellman_ford(prefix, n, source):
+                return False
     return True
 
 
@@ -127,11 +145,11 @@ def _sandwich_violation(exact: float, answer: float, epsilon: float) -> str | No
     return None
 
 
-def verify_offline(structure, rows: list[list[float]], epsilon: float) -> list[dict]:
-    """Check every (v, t) query against the exact table; returns violations."""
+def verify_offline(structure, rows: Iterable[list[float]], epsilon: float) -> list[dict]:
+    """Check every (v, t) query against exactly m+1 exact rows, such as
+    ``exact_rows(instance)``; returns violations."""
     violations = []
-    for t in range(structure.m + 1):
-        row = rows[t]
+    for t, row in zip(range(structure.m + 1), rows, strict=True):
         for v in range(structure.n):
             answer = structure.query(v, t)
             problem = _sandwich_violation(row[v], answer, epsilon)
@@ -145,16 +163,15 @@ def verify_offline(structure, rows: list[list[float]], epsilon: float) -> list[d
 def verify_online_run(
     instance: ProblemInstance,
     prediction_edges: list[EdgeInsert] | None,
-    rows: list[list[float]] | None = None,
     fresh_build_limit: int = 64,
-    budget: int = DEFAULT_ORACLE_BUDGET,
 ) -> dict:
     """Replay the true timeline through the online engine and audit every step.
 
     Checks, per insertion: the live estimate array against the exact row,
-    and (on small timelines) node-level equality with a from-scratch build
-    on the corrected prediction.  After the run: the per-position jump bound
-    and the per-node rebuild bound implied by the prediction's displacement
+    streamed from ``exact_rows`` alongside the engine, and (on small
+    timelines) node-level equality with a from-scratch build on the
+    corrected prediction.  After the run: the per-position jump bound and
+    the per-node rebuild bound implied by the prediction's displacement
     profile.
     """
     padded = prepare_for_build(instance)
@@ -162,17 +179,16 @@ def verify_online_run(
         aligned = list(padded.sigma)
     else:
         aligned = align_prediction(prediction_edges, padded)
-    if rows is None:
-        rows = exact_distance_table(padded, budget)
     engine = OnlineEngine(padded, aligned)
     profile = compute_profile(padded.sigma, aligned)
     _, jump_budget = min_threshold_objective(profile.eta_per_edge, padded.m, weight=2)
 
     violations: list[dict] = []
     check_fresh = padded.m <= fresh_build_limit
-    for step, edge in enumerate(padded.sigma, start=1):
+    rows = exact_rows(padded)
+    next(rows)  # the row before any arrival
+    for step, (edge, row) in enumerate(zip(padded.sigma, rows, strict=True), start=1):
         engine.insert(edge)
-        row = rows[step]
         for v in range(padded.n):
             problem = _sandwich_violation(row[v], engine.D[v], padded.epsilon)
             if problem:

@@ -103,7 +103,6 @@ def grid():
                 "params": params,
                 "instance": inst,
                 "padded": padded,
-                "rows": rows,
                 "violations": len(violations),
                 "alive_nodes_max": max(stats.alive_nodes_per_vertex),
                 "alive_nodes_bound": node_bound,
@@ -129,7 +128,7 @@ def replays(grid):
             else:
                 spec = PerturbationSpec(seed=case["params"]["seed"] * 10 + j, **kw)
                 pred = perturb(inst, spec)
-            out[(idx, label)] = verify_online_run(inst, pred, rows=case["rows"])
+            out[(idx, label)] = verify_online_run(inst, pred)
     return out
 
 

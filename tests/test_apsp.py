@@ -192,7 +192,7 @@ def _apsp_state(online):
         online.t,
         online.frontier,
         list(online._arrived_positions),
-        set(online._arrived_ids),
+        list(online._arrived_flags),
         [e.edge_id for e in online.pending_edges()],
     )
 

@@ -218,17 +218,6 @@ def test_conflicting_description_rejected(t1_padded, t1_permuted):
         engine.insert(EdgeInsert(0, 0, 1, 7))
 
 
-def test_unarrived_edge_below_t_raises_value_error(t1_padded, t1_permuted):
-    # Forgetting an arrival puts an unarrived edge inside the arrived prefix;
-    # the check must raise ValueError, which survives python -O.
-    engine = OnlineEngine(t1_padded, t1_permuted)
-    first = t1_padded.sigma[0]
-    engine.insert(first)
-    engine._arrived.clear()
-    with pytest.raises(ValueError, match="arrived prefix"):
-        engine.insert(first)
-
-
 def _engine_state(engine):
     s = engine.structure
     cols = engine.timeline.columns
