@@ -8,10 +8,15 @@ arrived-but-not-yet-frontier-covered edges (at most the maximum
 displacement of the permutation).
 
 The per-source structures never change after the build, so an online patch
-lookup depends only on (u, v, frontier).  `OnlineApsp` memoises the lookups
-made at the current frontier, at most n(n-1) of them, and drops them when an
-arrival advances the frontier; it also keeps the pending edges' min-weight
-map and vertex set, which any accepted arrival drops.
+lookup depends only on (u, v, frontier).  `OnlineApsp` keeps two caches, both
+valid for one frontier and dropped together when an arrival advances it:
+the lookups made at that frontier (at most n(n-1)), and the patch graph, the
+min-weight adjacency among the pending edges' endpoints P (at most
+|P|(|P|-1) entries, |P| <= 2 * pending edges).  The first query after a
+frontier advance builds the patch graph; an arrival that leaves the
+frontier in place adds its endpoints' rows and columns and lowers its own
+entry.  A query (i, j) adds only i's out-row and the edges into j, so it
+costs O(|P|) lookups plus a Dijkstra that stops at j.
 """
 
 from __future__ import annotations
@@ -64,12 +69,14 @@ class OnlineApsp:
     The prediction's edges are checked like arrivals, and it must hold
     exactly the true edge ids, each with its true triple.
 
-    Two caches make repeated queries cheap.  `_lookups[u][v]` holds
-    `apsp.per_source[u].query(v, frontier)`: at most n(n-1) entries, dropped
-    when an arrival advances the frontier.  `_patch` holds the pending
-    edges' min-weight `direct` map and their vertex set: built by the first
-    query after an arrival, dropped by every accepted arrival.  A rejected
-    arrival touches neither.
+    Two caches make repeated queries cheap, both dropped when an arrival
+    advances the frontier.  `_lookups[u][v]` holds
+    `apsp.per_source[u].query(v, frontier)`: at most n(n-1) entries.
+    `_graph[u][v]` holds the patch graph, min(lookup, pending u->v weights)
+    for u != v in P, the pending edges' endpoints, where finite: built by
+    the first query after a frontier advance and extended in place by an
+    arrival that leaves the frontier where it was.  A rejected arrival
+    touches neither.
     """
 
     def __init__(self, instance: ProblemInstance, prediction_edges: list[EdgeInsert]):
@@ -91,7 +98,7 @@ class OnlineApsp:
         self.insert_comparisons = 0
         self.last_patch_vertices = 0
         self._lookups: dict[int, dict[int, float]] = {}
-        self._patch: tuple[dict[tuple[int, int], int], set[int]] | None = None
+        self._graph: dict[int, dict[int, float]] | None = None
 
     def insert(self, edge: EdgeInsert) -> None:
         """Record one true arrival; a rejected arrival leaves the engine unchanged."""
@@ -118,19 +125,40 @@ class OnlineApsp:
             else:
                 hi = mid
         positions.insert(lo, p)
-        self._patch = None
         old_frontier = self.frontier
         while self.frontier < self.m and self._arrived_flags[self.frontier + 1]:
             self.frontier += 1
             self.frontier_advances += 1
         if self.frontier != old_frontier:
             self._lookups = {}
+            self._graph = None
+        elif self._graph is not None:
+            self._add_pending(edge)
         self.t += 1
 
     def pending_edges(self) -> list[EdgeInsert]:
         """Arrived edges beyond the frontier (the patch material)."""
         i = bisect_right(self._arrived_positions, self.frontier)
         return [self.prediction[p - 1] for p in self._arrived_positions[i:]]
+
+    def _lookup(self, u: int, v: int) -> float:
+        row = self._lookups.setdefault(u, {})
+        w = row.get(v)
+        if w is None:
+            w = row[v] = self.apsp.per_source[u].query(v, self.frontier)
+        return w
+
+    def _add_pending(self, e: EdgeInsert) -> None:
+        """Grow the patch graph by one pending edge: new endpoint rows and columns, then its weight."""
+        graph = self._graph
+        for x in (e.tail, e.head):
+            if x not in graph:
+                for u, row in graph.items():
+                    if (w := self._lookup(u, x)) != UNREACHABLE:
+                        row[x] = w
+                graph[x] = {v: w for v in graph if (w := self._lookup(x, v)) != UNREACHABLE}
+        if e.tail != e.head and e.weight < graph[e.tail].get(e.head, UNREACHABLE):
+            graph[e.tail][e.head] = e.weight
 
     def query(self, i: int, j: int) -> float:
         """Approximate i-to-j distance over exactly the arrived edges."""
@@ -139,34 +167,20 @@ class OnlineApsp:
         if i == j:
             self.last_patch_vertices = 1
             return 0.0
-        if self._patch is None:
-            direct: dict[tuple[int, int], int] = {}
-            pending = set()
+        if self._graph is None:
+            self._graph = {}
             for e in self.pending_edges():
-                pending.add(e.tail)
-                pending.add(e.head)
-                key = (e.tail, e.head)
-                if e.weight < direct.get(key, UNREACHABLE):
-                    direct[key] = e.weight
-            self._patch = (direct, pending)
-        direct, verts = self._patch
-        verts = verts | {i, j}
-        self.last_patch_vertices = len(verts)
-        t_prime = self.frontier
-        ordered = sorted(verts)
-        adj: dict[int, list[tuple[int, float]]] = {u: [] for u in ordered}
-        for u in ordered:
-            row = self._lookups.setdefault(u, {})
-            for v in ordered:
-                if u == v:
-                    continue
-                w = row.get(v)
-                if w is None:
-                    w = row[v] = self.apsp.per_source[u].query(v, t_prime)
-                dw = direct.get((u, v))
-                if dw is not None and dw < w:
-                    w = dw
-                if w != UNREACHABLE:
-                    adj[u].append((v, w))
-        dist = dijkstra(adj, i)
-        return dist.get(j, UNREACHABLE)
+                self._add_pending(e)
+        graph = self._graph
+        self.last_patch_vertices = len(graph) + (i not in graph) + (j not in graph)
+        # Outside P, only i's out-row and the edges into j are added: j's
+        # out-edges and the edges into i cannot lower dist[j].
+        adj = {u: row.items() for u, row in graph.items()}
+        if i not in graph:
+            heads = graph if j in graph else (*graph, j)
+            adj[i] = [(v, w) for v in heads if (w := self._lookup(i, v)) != UNREACHABLE]
+        if j not in graph:
+            for u in graph:
+                if (w := self._lookup(u, j)) != UNREACHABLE:
+                    adj[u] = [*adj[u], (j, w)]
+        return dijkstra(adj, i, j).get(j, UNREACHABLE)

@@ -61,9 +61,11 @@ node below [lo, hi].
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import chain
+from operator import neg
 from typing import NamedTuple
 
 from .bucketing import BucketTable, derive_internal_epsilon, make_table
@@ -206,12 +208,14 @@ class SolveCounters:
         self.scan_work += scanned
 
 
-def dijkstra(adj, source: int) -> dict[int, float]:
+def dijkstra(adj, source: int, target: int | None = None) -> dict[int, float]:
     """Heap Dijkstra from source; distances of the reached vertices only.
 
-    adj[u] lists (head, weight) pairs and must exist for every reachable u,
-    so a list of lists or a dict keyed by the patch vertices both work.
-    Integer weights give integer distances.
+    adj[u] lists (head, weight) pairs and must exist for every reachable u
+    other than target, so a list of lists or a dict keyed by the patch
+    vertices both work.  Integer weights give integer distances.  With a
+    target, the search stops when it pops target: dist[target] is final
+    (and absent if target is unreachable), other entries may be too high.
     """
     dist = {source: 0}
     heap = [(0, source)]
@@ -219,6 +223,8 @@ def dijkstra(adj, source: int) -> dict[int, float]:
         d, u = heappop(heap)
         if d > dist[u]:
             continue
+        if u == target:
+            break
         for v, w in adj[u]:
             nd = d + w
             if nd < dist.get(v, UNREACHABLE):
@@ -574,20 +580,29 @@ class OfflineStructure:
                     carry = value
                 row[i] = carry
 
-    def query(self, v: int, t: int) -> float:
-        return self.query_with_cost(v, t)[0]
-
-    def query_with_cost(self, v: int, t: int) -> tuple[float, int]:
-        """Approximate distance at time t plus the comparison count spent."""
+    def _entry_row(self, v: int, t: int) -> list[int] | None:
+        """v's entry-time row after argument checks; None for the source."""
         if self.entry_times is None:
             raise ValueError("structure was built without query tables")
         if not 0 <= v < self.n:
             raise ValueError("vertex id out of range")
         if not 0 <= t <= self.m:
             raise ValueError("time out of range")
-        if v == self.source:
+        return None if v == self.source else self.entry_times[v]
+
+    def query(self, v: int, t: int) -> float:
+        """Approximate distance at time t: a bisect over v's non-increasing row."""
+        row = self._entry_row(v, t)
+        if row is None:
+            return 0.0
+        lo = bisect_left(row, -t, key=neg)
+        return UNREACHABLE if lo == len(row) else self.table.coarse[lo]
+
+    def query_with_cost(self, v: int, t: int) -> tuple[float, int]:
+        """query(v, t) plus the comparison count of a counted binary search."""
+        row = self._entry_row(v, t)
+        if row is None:
             return 0.0, 0
-        row = self.entry_times[v]
         lo, hi = 0, len(row)
         comparisons = 0
         while lo < hi:

@@ -258,20 +258,34 @@ def _bad_arrivals(edge, n, W):
     ]
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_memoised_queries_match_unmemoised_patch(seed):
+_PATCH_FAMILIES = [pytest.param("window_shuffle", seed, id=str(seed)) for seed in range(4)] + [
+    pytest.param("relocate", seed, id=f"relocate-{seed}") for seed in range(3)
+]
+
+
+@pytest.mark.parametrize("kind, seed", _PATCH_FAMILIES)
+def test_memoised_queries_match_unmemoised_patch(kind, seed):
     inst = generate(n=10, m=64, W=8, seed=50 + seed, epsilon=0.5)
     padded = prepare_for_build(inst)
-    online = OnlineApsp(inst, perturb(inst, PerturbationSpec("window_shuffle", seed=seed, k=6)))
+    kwargs = {"k": 6} if kind == "window_shuffle" else {"p": 0.1}
+    online = OnlineApsp(inst, perturb(inst, PerturbationSpec(kind, seed=seed, **kwargs)))
     rng = random.Random(seed)
     arrivals = list(padded.sigma)
+    seen = set()
 
     def check_queries():
-        pairs = [(rng.randrange(padded.n), rng.randrange(padded.n)) for _ in range(4)]
-        for i, j in pairs + pairs:  # the repeats hit the memo at this frontier
+        n = padded.n
+        inside = sorted({v for e in online.pending_edges() for v in (e.tail, e.head)})
+        outside = [v for v in range(n) if v not in inside]
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(4)]
+        pairs += [(rng.choice(a), rng.choice(b)) for a in (inside, outside) for b in (inside, outside) if a and b]
+        pairs.append((rng.randrange(n),) * 2)
+        for i, j in pairs + pairs:  # the repeats hit the caches at this frontier
             got = online.query(i, j)
             assert (got, online.last_patch_vertices) == _unmemoised_query(online, i, j)
+            seen.add((i in inside, j in inside, i == j))
 
+    stalled = 0  # arrivals that leave the frontier in place and update the cached patch graph
     for step, edge in enumerate(arrivals):
         if step % 3 == 0:
             check_queries()
@@ -283,9 +297,14 @@ def test_memoised_queries_match_unmemoised_patch(seed):
                 online.insert(bad)
             assert _apsp_state(online) == before
             check_queries()
+        frontier = online.frontier
         online.insert(edge)
+        stalled += online.frontier == frontier
         check_queries()
     assert online.frontier == online.m
+    assert stalled >= 8
+    assert {(True, True, False), (True, False, False), (False, True, False), (False, False, False)} <= seen
+    assert {(True, True, True), (False, False, True)} & seen
 
 
 # -- online correctness and patch bounds ---------------------------------------------

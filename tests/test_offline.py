@@ -1,11 +1,14 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from incsp.bucketing import derive_internal_epsilon
 from incsp.model import UNREACHABLE, parse_instance, prepare_for_build
 from incsp.offline import (
     build_offline,
+    dijkstra,
     shallowest_midpoint,
     structures_equal,
     time_ancestors,
@@ -287,6 +290,26 @@ def test_query_cost_bound(random_case):
     assert worst <= bound
 
 
+@pytest.mark.parametrize("n, m, seed", [(12, 64, 42), (20, 16, 5), (9, 128, 13)])
+def test_bisect_query_matches_counted_query(n, m, seed):
+    padded = prepare_for_build(generate(n=n, m=m, W=10, seed=seed, epsilon=0.5))
+    s = build_offline(padded)
+    unreachable = 0
+    for v in range(s.n):
+        for t in range(s.m + 1):
+            got = s.query(v, t)
+            assert repr(got) == repr(s.query_with_cost(v, t)[0])
+            unreachable += got == UNREACHABLE
+    assert s.query(s.source, 0) == s.query(s.source, s.m) == 0.0
+    # t = 0 leaves every vertex but the source unreachable; the n=20, m=16
+    # build also leaves 16 of its vertices unreachable at t = m
+    assert unreachable >= s.n - 1
+    for v, t, message in [(-1, 0, "vertex id"), (s.n, 0, "vertex id"), (0, -1, "time"), (0, s.m + 1, "time")]:
+        for query in (s.query, s.query_with_cost):
+            with pytest.raises(ValueError, match=message):
+                query(v, t)
+
+
 def test_tight_epsilon_random_instance():
     inst = generate(n=30, m=128, W=8, seed=11, epsilon=0.01)
     padded = prepare_for_build(inst)
@@ -341,3 +364,29 @@ def test_internal_epsilon_used(t1_structure, t1_padded):
     assert t1_structure.table.epsilon_internal == derive_internal_epsilon(
         t1_padded.epsilon
     )
+
+
+# -- the engine Dijkstra ----------------------------------------------------------
+
+_weights = st.one_of(st.integers(0, 5), st.floats(0, 5, allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=80, deadline=None)
+@example((3, [(0, 1, 0.0), (1, 0, 2)], 0, 2))  # unreachable target
+@example((2, [(0, 1, 1), (1, 0, 0)], 1, 1))  # target == source
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), _weights), max_size=20),
+    st.integers(0, n - 1),
+    st.integers(0, n - 1),
+)))
+def test_dijkstra_target_stops_with_the_full_answer(case):
+    # float and zero weights, target == source and unreachable targets included
+    n, edges, source, target = case
+    adj = [[] for _ in range(n)]
+    for u, v, w in edges:
+        adj[u].append((v, w))
+    full = dijkstra(adj, source)
+    early = dijkstra(adj, source, target)
+    assert repr(early.get(target)) == repr(full.get(target))
+    assert all(early[v] >= full[v] for v in early)

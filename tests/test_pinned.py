@@ -62,17 +62,33 @@ def test_apsp_per_source_builds_are_pinned():
     assert digest.hexdigest() == "be8797415e108f30b85a154997bfa44dfc4faf492cad80ffb164730397f76c59"
 
 
-def test_online_apsp_answers_are_pinned():
-    inst = generate(n=12, m=128, W=8, seed=29, epsilon=0.5)
-    padded = prepare_for_build(inst)
-    online = OnlineApsp(inst, perturb(inst, PerturbationSpec("window_shuffle", seed=5, k=8)))
-    rng = random.Random(31)
+def _online_apsp_digest(inst, pred, rng) -> str:
+    """Every answer and patch size of a replay with 8 seeded query(i, j) per arrival."""
+    online = OnlineApsp(inst, pred)
+    n = online.n
     h = hashlib.sha256()
-    for edge in padded.sigma:
+    for edge in online.instance.sigma:
         online.insert(edge)
         for _ in range(8):
-            i, j = rng.randrange(padded.n), rng.randrange(padded.n)
+            i, j = rng.randrange(n), rng.randrange(n)
             h.update(repr((i, j, online.query(i, j), online.last_patch_vertices)).encode())
-    assert h.hexdigest() == (
+    return h.hexdigest()
+
+
+def test_online_apsp_answers_are_pinned():
+    inst = generate(n=12, m=128, W=8, seed=29, epsilon=0.5)
+    pred = perturb(inst, PerturbationSpec("window_shuffle", seed=5, k=8))
+    assert _online_apsp_digest(inst, pred, random.Random(31)) == (
         "85abf093f2916ed47a5de606c76556329e168b7c933dbb579898d349c863f2b8"
+    )
+
+
+def test_online_apsp_relocate_answers_are_pinned():
+    # Relocation stalls the frontier, so the pending set is large and most
+    # queries (650 of 1,024) have both endpoints among its vertices.  Taken
+    # before OnlineApsp cached its patch graph across queries.
+    inst = generate(n=12, m=128, W=8, seed=37, epsilon=0.5)
+    pred = perturb(inst, PerturbationSpec("relocate", seed=7, p=0.05))
+    assert _online_apsp_digest(inst, pred, random.Random(41)) == (
+        "ed8856c0313b8b950c7823e930ad1adad3bd6bb1862c6ff59c16edaed41a64bc"
     )
