@@ -42,6 +42,7 @@ def run_regime(inst, spec, seed):
     engine = OnlineEngine(padded, aligned)
     for edge in padded.sigma:
         engine.insert(edge)
+    engine.flush()  # settle what the arrivals left pending, so the counters hold all the work
     c = engine.counters
     return {
         "eta_max": profile.eta_max,

@@ -26,6 +26,7 @@ def replay(instance, prediction):
     for edge in padded.sigma:
         engine.insert(edge)
     profile = compute_profile(padded.sigma, aligned)
+    engine.flush()  # settle what the arrivals left pending, so the counters hold all the work
     c = engine.counters
     return {
         "eta_max": profile.eta_max,

@@ -207,6 +207,10 @@ def cmd_online(args) -> int:
     reports = [engine.insert(e) for e in padded.sigma]
     run_s = time.perf_counter() - t0
 
+    t0 = time.perf_counter()
+    engine.flush()
+    flush_s = time.perf_counter() - t0
+
     profile = compute_profile(padded.sigma, aligned)
     counters = engine.counters
     doc = {
@@ -217,17 +221,19 @@ def cmd_online(args) -> int:
         "counters": {
             "total_jumps": counters.total_jumps,
             "jumps_per_position": counters.jumps_per_position[1 : padded.m + 1],
-            "nodes_rebuilt": counters.nodes_rebuilt,
+            "nodes_rebuilt": counters.nodes_rebuilt,  # arrival chains and the final flush
             "nodes_skipped": counters.sink.nodes_skipped,
+            "flush_rebuilt": counters.flush_rebuilt,
+            "flush_skipped": counters.flush_skipped,
             "rebuilds_by_level": _rebuilds_by_level(counters.sink.rebuilds_per_node, padded.m),
-            "full_rebuilds": counters.full_rebuilds,  # root passes after base_m moved
+            "full_rebuilds": counters.full_rebuilds,  # arrivals that moved base_m
             "alive_edge_work": counters.alive_edge_work,
             "scan_work": counters.sink.scan_work,
             "d_writes": counters.d_writes,
             "case_counts": counters.case_counts,
         },
         "final_distances": engine.D,
-        "timings": {"preprocess_s": preprocess_s, "run_s": run_s},
+        "timings": {"preprocess_s": preprocess_s, "run_s": run_s, "flush_s": flush_s},
     }
     rows = [asdict(r) for r in reports]
     if args.trace:

@@ -37,25 +37,26 @@ estimate entered each coarse grid cell.  After a fill-and-floor pass the
 rows are non-increasing, and a query binary-searches the row.
 
 Repair: the online engine changes the structure only through
-recompute_base and resolve_subtree.  After one arrival it hands
-resolve_subtree a TimelineChange naming the only internal prefixes that
-changed, and the pass re-solves only the nodes whose inputs moved (change
-propagation in the style of Ramalingam and Reps).  A node's result depends
-only on its alive set, its alive edges and the inherited estimates of its
-dead tails; those in turn come from its two end maps, the prefix at its
-midpoint and the above array.  The edges_hi list it filters decides
-nothing beyond them (see the repair pruning notes in OfflineStructure).
-Each node of the pass therefore receives how its inputs moved: the
-vertices whose entry in either end map changed, and a stale map
-{v: previous above[v]} of the inherited estimates that moved.  A node is
-kept without a Dijkstra when neither these nor the prefix change at its
-midpoint can reach its alive set or alive edges; a whole subtree is
-skipped when, in addition, both end maps are unchanged, no stale vertex
-dead at its top node is the tail of an edge into the top node's alive
-set, and no jumped prefix inside it touches a vertex alive at the node
-owning that prefix, because alive sets nest down the tree.  Without a
-TimelineChange the solver takes the plain build path and solves every
-node below [lo, hi].
+recompute_base, mark_prefixes, push_base_move, settle_chain and flush, and
+repairs on demand (change propagation in the style of Ramalingam and Reps,
+driven by demand as in Adapton).  A node's result depends only on its alive
+set, its alive edges and the inherited estimates of its dead tails; those
+in turn come from its two end maps, the prefix at its midpoint and the
+above array, all of which sit on its own ancestor chain.  The edges_hi list
+it filters decides nothing beyond them (see the repair pruning notes in
+OfflineStructure).  So an arrival solves nothing when it is recorded: it
+marks the nodes whose prefix change touches their alive set, and an
+unpredicted arrival that moves base_m leaves a pending input diff at the
+root.  A diff holds the vertices whose entry in either end map moved and a
+stale map {v: previous above[v]} of the inherited estimates that moved.
+settle_chain(t) then walks the ancestor chain of time t root first, and
+each node that is marked or holds a diff is kept without a Dijkstra when
+none of that can reach its alive set or alive edges, or re-solved
+otherwise; either way it forwards how its own estimates and inherited
+values moved to both children's pending diffs, which accumulate until a
+later chain or flush() reaches them.  A node dirtied k times is thus solved
+at most once for all of them.  A node that is neither marked nor holds a
+diff equals a fresh build's once its ancestors do.
 """
 
 from __future__ import annotations
@@ -70,22 +71,6 @@ from typing import NamedTuple
 
 from .bucketing import BucketTable, derive_internal_epsilon, make_table
 from .model import UNREACHABLE, ProblemInstance
-
-
-def shallowest_midpoint(a: int, b: int) -> int:
-    """The unique time in [a, b] with maximal 2-adic valuation.
-
-    This is the midpoint of the shallowest recursion node whose interval
-    contains [a, b]; the node's interval strictly encloses [a, b].
-    """
-    if not 1 <= a <= b:
-        raise ValueError("empty or invalid midpoint range")
-    for k in range(b.bit_length(), -1, -1):
-        step = 1 << k
-        candidate = (a + step - 1) >> k << k
-        if candidate <= b and candidate >= step:
-            return candidate
-    raise AssertionError("unreachable: k=0 always yields a candidate")
 
 
 def time_ancestors(t: int, m: int) -> list[int]:
@@ -118,37 +103,22 @@ class RecursionNode:
     alive_edges: list[int]
 
 
-@dataclass(frozen=True)
-class TimelineChange:
-    """What one online arrival changed, for resolve_subtree to prune against.
-
-    For every internal midpoint p in ``jumped`` (inclusive, or None) prefix
-    p gained the ``arrived`` edge and lost the edge now at 0-based index p
-    of the timeline (the one the shift pushed out of prefix p); every other
-    internal prefix is as it was.
-    An unpredicted arrival also changes the time-m end: its edge set gains
-    ``arrived`` and loses the truncated last edge, and ``old_base`` maps
-    each base_m entry that recompute_base moved to its previous value.
-    """
-
-    jumped: tuple[int, int] | None
-    arrived: int
-    old_base: dict[int, float]
-
-
 class _InputDiff(NamedTuple):
-    """How a node's inputs differ from those its previous version was solved with.
+    """How a node's inputs moved since its stored version was solved or kept.
 
-    lo and hi hold the vertices whose entry in lo_est or hi_est differs
-    (value, or present against absent); stale maps each vertex whose
-    inherited estimate above[v] moved to its previous value.  How edges_hi
-    changed is not part of it: see the repair pruning notes in
-    OfflineStructure.
+    lo and hi hold (at least) the vertices whose entry in lo_est or hi_est
+    moved (value, or present against absent); stale maps (at least) each
+    vertex whose inherited estimate above[v] moved to the value the stored
+    version saw.  How edges_hi changed is not part of it: see the repair
+    pruning notes in OfflineStructure.
     """
 
     lo: set[int]
     hi: set[int]
     stale: dict[int, float]
+
+
+_NO_DIFF = _InputDiff(frozenset(), frozenset(), {})
 
 
 def _moved_keys(new: dict[int, float], old: dict[int, float]) -> set[int]:
@@ -178,18 +148,20 @@ def _children_stale(
 
 
 class SolveCounters:
-    """Work counters for solver passes: one full build, or every repair pass of a run.
+    """Work counters for solver passes: one full build, or every repair of a run.
 
     node_solved runs once per Dijkstra, so rebuilds_per_node,
     alive_edges_per_node and alive_nodes_per_vertex accumulate per solve
-    (after a build they describe each node's single solve).  Nodes a repair
-    pass keeps without a Dijkstra count in nodes_skipped only.  scan_work
-    sums the lengths of the edge lists the solved nodes scanned, each right
-    child's narrowed inner list included.
+    (after a build they describe each node's single solve).
+    rebuilds_per_node is kept for a run's counters only (per_node_rebuilds);
+    after a build every entry would read 1, so a build's is None.  Marked
+    nodes a repair keeps without a Dijkstra count in nodes_skipped only.  scan_work sums the lengths of the edge
+    lists the solved nodes scanned, each right child's narrowed inner list
+    included.
     """
 
-    def __init__(self, n: int, m: int):
-        self.rebuilds_per_node = [0] * m  # indexed by midpoint
+    def __init__(self, n: int, m: int, per_node_rebuilds: bool = False):
+        self.rebuilds_per_node = [0] * m if per_node_rebuilds else None  # indexed by midpoint
         self.alive_edges_per_node = [0] * m  # indexed by midpoint
         self.alive_nodes_per_vertex = [0] * n
         self.nodes_solved = 0
@@ -198,7 +170,8 @@ class SolveCounters:
         self.scan_work = 0
 
     def node_solved(self, mid, scanned, alive_edge_count, alive_vertices):
-        self.rebuilds_per_node[mid] += 1
+        if self.rebuilds_per_node is not None:
+            self.rebuilds_per_node[mid] += 1
         self.alive_edges_per_node[mid] += alive_edge_count
         per_vertex = self.alive_nodes_per_vertex
         for v in alive_vertices:
@@ -258,6 +231,10 @@ class OfflineStructure:
             cells = len(table.coarse)
             self.entry_times = [[self.unset] * cells for _ in range(self.n)]
         self.stats = SolveCounters(self.n, m)
+        # Repair state (see the module docstring): the midpoints whose prefix
+        # change touched their stored alive set, and each node's pending diff.
+        self.marked: set[int] = set()
+        self.pending: dict[int, _InputDiff] = {}
 
     # -- estimate resolution -------------------------------------------------
 
@@ -298,19 +275,8 @@ class OfflineStructure:
 
     # -- solving -------------------------------------------------------------
 
-    def _solve(
-        self,
-        lo: int,
-        hi: int,
-        lo_est: dict[int, float],
-        hi_est: dict[int, float],
-        edges_hi: list[int],
-        above: list[float],
-        sink: SolveCounters,
-        change: TimelineChange | None = None,
-        diff: _InputDiff | None = None,
-    ) -> None:
-        """Solve the node covering [lo, hi] and recurse into its children.
+    def _solve(self, lo, hi, lo_est, hi_est, edges_hi, above, sink) -> None:
+        """Solve the node covering [lo, hi] and every node below it (a build).
 
         lo_est and hi_est map the vertices alive at each interval end to
         their estimates there; a vertex missing from either is dead here.
@@ -322,44 +288,18 @@ class OfflineStructure:
         them that holds every edge into a vertex this node can hold alive;
         alive edges here are a subset of it.  The left child scans this
         node's alive edges and the right child its inner list (see
-        _solve_node), except below a node the repair pass kept, which hands
-        its own edges_hi on.
-
-        With a change (an online repair pass) the nodes below still hold
-        their previous versions and diff says how this node's inputs moved
-        since then.  What the diff cannot reach is kept, not re-solved, and
-        counted in sink.nodes_skipped.
+        _solve_node).
         """
         mid = (lo + hi) // 2
-        if change is None:
-            node, inner = self._solve_node(lo, hi, lo_est, hi_est, edges_hi, above, sink)
-        else:
-            old = self.nodes[mid]
-            if self._subtree_kept(lo, hi, edges_hi, diff, change):
-                sink.nodes_skipped += hi - lo - 1
-                return
-            if self._node_kept(old, mid, lo_est, hi_est, diff, change):
-                node, inner = old, edges_hi
-                sink.nodes_skipped += 1
-            else:
-                node, inner = self._solve_node(lo, hi, lo_est, hi_est, edges_hi, above, sink)
+        node, inner = self._solve_node(lo, hi, lo_est, hi_est, edges_hi, above, sink)
         if hi - lo <= 2:
             return
-        estimates, alive_edges = node.alive_estimates, node.alive_edges
-        if change is not None:
-            moved = set() if node is old else _moved_keys(estimates, old.alive_estimates)
-            stale = _children_stale(diff.stale, above, estimates, old.alive_estimates, moved)
-            left = _InputDiff(diff.lo, moved, stale)
-            right = _InputDiff(moved, diff.hi, stale)
+        estimates = node.alive_estimates
         undo = [above[v] for v in estimates]
         for v, value in estimates.items():
             above[v] = value
-        if change is None:
-            self._solve(lo, mid, lo_est, estimates, alive_edges, above, sink)
-            self._solve(mid, hi, estimates, hi_est, inner, above, sink)
-        else:
-            self._solve(lo, mid, lo_est, estimates, alive_edges, above, sink, change, left)
-            self._solve(mid, hi, estimates, hi_est, inner, above, sink, change, right)
+        self._solve(lo, mid, lo_est, estimates, node.alive_edges, above, sink)
+        self._solve(mid, hi, estimates, hi_est, inner, above, sink)
         for v, value in zip(estimates, undo):
             above[v] = value
 
@@ -440,28 +380,21 @@ class OfflineStructure:
     # child's narrowed list keeps every edge into the parent's alive set,
     # which holds any vertex alive in the child).  So the alive set is the
     # set of vertices alive at both ends with different estimates, and the
-    # alive edges are all edges of prefix mid into it.  The pass solves a
-    # node after its ends, so its end maps are those of a fresh build, and
-    # the result can move only through a vertex whose end entry moved, the
-    # prefix change at mid, or a stale dead tail.  Edges that edges_hi gains
-    # or loses need no check of their own: the arriving edge enters the
-    # prefixes through the prefix check, and the truncated last edge sits at
-    # position m, in no internal prefix.
+    # alive edges are all edges of prefix mid into it.  A node is settled
+    # after its ends (both are ancestors), so its end maps are those of a
+    # fresh build, and the result can move only through a vertex whose end
+    # entry moved, a change to the prefix at mid, or a stale dead tail.
+    # Edges that edges_hi gains or loses need no check of their own: the
+    # arriving edge enters the prefixes through the prefix marks, and the
+    # truncated last edge sits at position m, in no internal prefix.
 
-    def _prefix_change_visible(self, alive: dict[int, float], p: int, change: TimelineChange) -> bool:
-        """Whether the change to prefix p can move a node at p with this alive set."""
-        jumped = change.jumped
-        if jumped is None or not jumped[0] <= p <= jumped[1]:
-            return False
-        head = self.cols.head
-        return head[change.arrived] in alive or head[self.cols.order[p]] in alive
-
-    def _node_kept(self, node, mid, lo_est, hi_est, diff: _InputDiff, change: TimelineChange) -> bool:
+    def _node_kept(self, node, lo_est, hi_est, diff: _InputDiff) -> bool:
         """Whether re-solving node against the current inputs would reproduce it.
 
-        A vertex whose end entry moved keeps its alive status when it was
-        alive and still differs across the ends, or was dead and now is
-        missing from an end or equal at both; whether it heads an edge of
+        The prefix at its midpoint must be unchanged (the caller checks the
+        marks).  A vertex whose end entry moved keeps its alive status when
+        it was alive and still differs across the ends, or was dead and now
+        is missing from an end or equal at both; whether it heads an edge of
         edges_hi follows from that (see the repair pruning notes above).
         """
         alive = node.alive_estimates
@@ -477,70 +410,124 @@ class OfflineStructure:
                 u = tail[eid]
                 if u in stale and u not in alive:
                     return False
-        return not self._prefix_change_visible(alive, mid, change)
+        return True
 
-    def _subtree_kept(self, lo, hi, edges_hi, diff: _InputDiff, change: TimelineChange) -> bool:
-        """Whether no node below [lo, hi], this one included, can differ.
-
-        Needs both end maps unchanged, so that every node below sees the end
-        maps it was solved with.  Alive sets nest down the tree, so every
-        node below keeps its alive vertices within the top node's and its
-        alive edges within edges_hi: a stale vertex dead at the top inherits
-        the moved value throughout (and matters only as the tail of an edge
-        into an alive vertex), and one alive at the top is overwritten by
-        the subtree's own estimates.
-        """
-        if diff.lo or diff.hi:
-            return False
-        nodes = self.nodes
-        alive = nodes[(lo + hi) // 2].alive_estimates
-        stale = diff.stale
-        if stale:
-            head, tail = self.cols.head, self.cols.tail
-            for eid in edges_hi:
-                u = tail[eid]
-                if u in stale and head[eid] in alive and u not in alive:
-                    return False
-        if change.jumped is None:
-            return True
-        first, last = max(lo + 1, change.jumped[0]), min(hi - 1, change.jumped[1])
-        return not any(
-            self._prefix_change_visible(nodes[p].alive_estimates, p, change) for p in range(first, last + 1)
-        )
-
-    def resolve_subtree(self, lo: int, hi: int, sink: SolveCounters, change: TimelineChange | None = None) -> None:
-        """(Re)solve the node covering [lo, hi] and its descendants.
-
-        Without a change every node is solved.  With one, the nodes outside
-        [lo, hi] must be those the change left alone, so that only the
-        time-m end can differ from before, and only nodes whose inputs
-        moved are re-solved.
-        """
-        m = self.m
+    def _ends(self, lo: int, hi: int):
+        """lo_est, hi_est and edges_hi of the node covering [lo, hi], read from its ancestors."""
         lo_est = self._est_0 if lo == 0 else self.nodes[lo].alive_estimates
-        if hi == m:
-            hi_est = self._est_m
-            edges_hi = self.cols.order
-        else:
-            hi_est = self.nodes[hi].alive_estimates
-            edges_hi = self.nodes[hi].alive_edges
-        # Merge the ancestors' estimates root first, so each vertex ends on its
-        # deepest alive one; a fresh copy of base_m (one C-level copy) costs
-        # less than undoing the writes after the pass.
-        inherited: dict[int, float] = {}
-        for t in time_ancestors((lo + hi) // 2, m):
-            inherited.update(self.nodes[t].alive_estimates)
+        if hi == self.m:
+            return lo_est, self._est_m, self.cols.order
+        node = self.nodes[hi]
+        return lo_est, node.alive_estimates, node.alive_edges
+
+    def resolve_subtree(self, lo: int, hi: int, sink: SolveCounters) -> None:
+        """Solve the node covering [lo, hi] and every node below it."""
+        lo_est, hi_est, edges_hi = self._ends(lo, hi)
+        # Merge the ancestors' estimates root first, so each vertex ends on
+        # its deepest alive one.
         above = list(self.base_m)
-        for v, est in inherited.items():
-            above[v] = est
-        if change is None:
-            self._solve(lo, hi, lo_est, hi_est, edges_hi, above, sink)
+        for t in time_ancestors((lo + hi) // 2, self.m):
+            for v, est in self.nodes[t].alive_estimates.items():
+                above[v] = est
+        self._solve(lo, hi, lo_est, hi_est, edges_hi, above, sink)
+
+    # -- demand-driven repair --------------------------------------------------
+
+    def _push(self, mid: int, diff: _InputDiff) -> None:
+        """Add diff to node mid's pending one, keeping the first old value of each stale vertex."""
+        if not (diff.lo or diff.hi or diff.stale):
+            return
+        old = self.pending.get(mid)
+        if old is not None:
+            diff = _InputDiff(old.lo | diff.lo, old.hi | diff.hi, {**diff.stale, **old.stale})
+        self.pending[mid] = diff
+
+    def mark_prefixes(self, first: int, last: int, arrived: int) -> None:
+        """Record that each internal prefix p in [first, last] gained ``arrived``
+        and lost the edge now at 0-based index p of the timeline (the one
+        the shift pushed out of prefix p).
+
+        Only a node whose stored alive set holds the head of either edge is
+        marked: its stored version stays until it is settled, so that is
+        the test settling would make.
+        """
+        head, order, nodes = self.cols.head, self.cols.order, self.nodes
+        gained = head[arrived]
+        for p in range(first, last + 1):
+            alive = nodes[p].alive_estimates
+            if gained in alive or head[order[p]] in alive:
+                self.marked.add(p)
+
+    def push_base_move(self, old_base: dict[int, float]) -> None:
+        """Leave the root a pending diff for base_m entries that recompute_base moved."""
+        self._push(self.m // 2, _InputDiff(set(), set(old_base), old_base))
+
+    def _settle(self, lo: int, hi: int, above: list[float], sink: SolveCounters) -> RecursionNode:
+        """Bring the node covering [lo, hi] up to date; its ancestors must be.
+
+        above holds the node's inherited estimates.  A node that is neither
+        marked nor holds a pending diff is returned as it is.  Otherwise it
+        is kept or re-solved, and how its estimates and inherited values
+        moved goes to both children's pending diffs.
+        """
+        mid = (lo + hi) // 2
+        old = self.nodes[mid]
+        diff = self.pending.pop(mid, _NO_DIFF)
+        marked = mid in self.marked
+        if diff is _NO_DIFF and not marked:
+            return old
+        self.marked.discard(mid)
+        lo_est, hi_est, edges_hi = self._ends(lo, hi)
+        if not marked and self._node_kept(old, lo_est, hi_est, diff):
+            node, moved = old, set()
+            sink.nodes_skipped += 1
         else:
-            # A moved base entry reaches above[v] only where no ancestor holds v.
-            stale = {v: old for v, old in change.old_base.items() if v not in inherited}
-            # Only a root pass has moved base entries, and its hi end is time m.
-            diff = _InputDiff(set(), set(change.old_base), stale)
-            self._solve(lo, hi, lo_est, hi_est, edges_hi, above, sink, change, diff)
+            node = self._solve_node(lo, hi, lo_est, hi_est, edges_hi, above, sink)[0]
+            moved = _moved_keys(node.alive_estimates, old.alive_estimates)
+        if hi - lo > 2:
+            stale = _children_stale(diff.stale, above, node.alive_estimates, old.alive_estimates, moved)
+            self._push((lo + mid) // 2, _InputDiff(diff.lo, moved, stale))
+            self._push((mid + hi) // 2, _InputDiff(moved, diff.hi, stale))
+        return node
+
+    def settle_chain(self, t: int, sink: SolveCounters) -> tuple[list[float], tuple[int, int] | None]:
+        """Settle node t and its ancestors, root first.
+
+        Returns every vertex's estimate at t and the interval of the
+        shallowest node re-solved (None when none was).
+        """
+        # A dict keyed 0..n-1 merges each node's estimates in one C-level
+        # update and keeps the vertex order for the returned list.
+        above = list(self.base_m)
+        top = None
+        lo, hi = 0, self.m
+        while lo < t < hi:
+            mid = (lo + hi) // 2
+            solved = sink.nodes_solved
+            for v, value in self._settle(lo, hi, above, sink).alive_estimates.items():
+                above[v] = value
+            if top is None and sink.nodes_solved > solved:
+                top = (lo, hi)
+            lo, hi = (lo, mid) if t < mid else (mid, hi)
+        return above, top
+
+    def flush(self, sink: SolveCounters) -> None:
+        """Settle every node, root first."""
+        if self.pending or self.marked:
+            self._flush(0, self.m, list(self.base_m), sink)
+
+    def _flush(self, lo: int, hi: int, above: list[float], sink: SolveCounters) -> None:
+        estimates = self._settle(lo, hi, above, sink).alive_estimates
+        if hi - lo <= 2:
+            return
+        mid = (lo + hi) // 2
+        undo = [above[v] for v in estimates]
+        for v, value in estimates.items():
+            above[v] = value
+        self._flush(lo, mid, above, sink)
+        self._flush(mid, hi, above, sink)
+        for v, value in zip(estimates, undo):
+            above[v] = value
 
     def recompute_base(self) -> dict[int, float]:
         """Refresh the exact distances at time m; map each moved entry to its old value."""
@@ -646,13 +633,16 @@ def build_offline(
     return structure
 
 
-def structures_equal(a: OfflineStructure, b: OfflineStructure) -> bool:
-    """Node-for-node equality: anchors, alive estimates and alive edge sets."""
+def structures_equal(a: OfflineStructure, b: OfflineStructure, mids=None) -> bool:
+    """Node-for-node equality: anchors, alive estimates and alive edge sets.
+
+    mids limits the nodes compared (default: all of them).
+    """
     if a.m != b.m or a.n != b.n or a.source != b.source:
         return False
     if a.base_m != b.base_m:
         return False
-    for mid in range(1, a.m):
+    for mid in range(1, a.m) if mids is None else mids:
         na, nb = a.nodes[mid], b.nodes[mid]
         if na.alive_estimates != nb.alive_estimates:
             return False

@@ -7,19 +7,19 @@ pulled forward to its true position (shifting the displaced block right),
 and an unpredicted one is spliced in while the prediction's last slot is
 truncated.  Both corrections rewrite the engine's own copy of the
 prediction (a model.InsertSequence), never the caller's.  Only the
-prefixes the shift jumped over change, so the repair is confined to the
-subtree rooted at the shallowest node whose midpoint falls in that span,
-and within it resolve_subtree re-solves only the nodes whose inputs moved
-(a jumped prefix that touches their alive vertices, a changed interval
-end, or a moved inherited estimate); the rest are kept and counted as
-skipped.  An unpredicted arrival that moves the exact distances at time m
-runs the same pass from the root.  Repair cost thus tracks prediction
-quality rather than instance size.
+prefixes the shift jumped over change, and an unpredicted arrival may move
+the exact distances at time m.
 
-A live distance array D is kept in sync after every arrival by replaying
-the alive-vertex estimate sets of the repaired time span in ascending
-order; vertices untouched by the pass are provably unchanged since
-estimates are constant across spans where a vertex is dead.
+Repair is demand-driven (see offline.py).  An arrival at time t records
+what changed: it marks the nodes of the jumped prefixes whose alive set the
+change touches, and a moved time-m anchor becomes a pending diff at the
+root.  The live distance array D after arrival t holds the estimates at t,
+which read only node t, its ancestors and base_m, so only that chain is
+settled, root first; every other node waits, with its input diffs
+accumulated, until a later chain reaches it or flush() settles the whole
+tree.  Repair cost thus tracks prediction quality rather than instance
+size, and a node dirtied many times between two demands is solved once.
+D is rewritten only where an estimate changed (wholly at t = m).
 """
 
 from __future__ import annotations
@@ -39,10 +39,9 @@ from .model import (
 from .offline import (
     OfflineStructure,
     SolveCounters,
-    TimelineChange,
     build_offline,
-    shallowest_midpoint,
     structures_equal,
+    time_ancestors,
 )
 
 
@@ -62,16 +61,20 @@ def jumped_midpoint_range(t: int, t_prime: int, m: int) -> tuple[int, int] | Non
 class RunCounters:
     """Run totals over every arrival of one engine.
 
-    sink is the SolveCounters that every repair pass feeds, so
-    nodes_rebuilt counts real re-solves and sink.nodes_skipped the nodes
-    kept without one; full_rebuilds counts root passes after the time-m
-    anchor moved.
+    sink is the SolveCounters that every settled node feeds, on an
+    arrival's chain or in a flush, so nodes_rebuilt counts real re-solves
+    and sink.nodes_skipped the marked nodes kept without one; flush_rebuilt
+    and flush_skipped count the part of each that flushes did.
+    full_rebuilds counts the arrivals that moved the time-m anchor and so
+    left the root a pending diff.
     """
 
     def __init__(self, n: int, m: int):
         self.jumps_per_position = [0] * (m + 2)  # 1-based positions 1..m
         self.total_jumps = 0
-        self.sink = SolveCounters(n, m)
+        self.sink = SolveCounters(n, m, per_node_rebuilds=True)
+        self.flush_rebuilt = 0
+        self.flush_skipped = 0
         self.full_rebuilds = 0
         self.case_counts = {"match": 0, "moved": 0, "absent": 0}
         self.d_writes = 0
@@ -89,9 +92,13 @@ class RunCounters:
 class InsertReport:
     """What one arrival cost.
 
-    rebuilt_interval is the span the repair pass covered; its hi - lo - 1
-    nodes split into nodes_rebuilt and nodes_skipped.  full_rebuild marks a
-    pass from the root after the time-m anchor moved.
+    nodes_rebuilt and nodes_skipped count the nodes of the arrival's chain
+    (node t and its ancestors) that were re-solved or kept; a flush's work
+    is counted apart.  rebuilt_interval is the interval of the shallowest
+    node re-solved (None when none was), so every re-solved node lies in
+    it.  full_rebuild marks an arrival that moved the time-m anchor and
+    left the root a pending diff.  d_writes counts the entries of D that
+    changed (all n at t = m).
     """
 
     t: int
@@ -128,7 +135,7 @@ class OnlineEngine:
             raise ValueError("prediction length must match the padded timeline")
         check_prediction(self.timeline, instance)
         pred_instance = replace(instance, sigma=self.timeline)
-        self.structure = build_offline(pred_instance, table=table, with_entry_times=False)
+        self._structure = build_offline(pred_instance, table=table, with_entry_times=False)
         self.t = 0
         self.D: list[float] = [UNREACHABLE] * self.n
         self.D[self.source] = 0.0
@@ -169,29 +176,28 @@ class OnlineEngine:
         else:
             jumped_positions = None
 
+        structure = self._structure
+        midrange = jumped_midpoint_range(t, t_prime, m)
+        if midrange is not None:
+            structure.mark_prefixes(midrange[0], midrange[1], edge.edge_id)
+        moved = structure.recompute_base() if case == "absent" else {}
+        if moved:
+            structure.push_base_move(moved)
+            self.counters.full_rebuilds += 1
+
         sink = self.counters.sink
         rebuilt_before, skipped_before = sink.nodes_solved, sink.nodes_skipped
-        midrange = jumped_midpoint_range(t, t_prime, m)
-        moved = self.structure.recompute_base() if case == "absent" else {}
-        change = TimelineChange(midrange, edge.edge_id, moved)
-        full_rebuild = False
-        rebuilt_interval = None
-        if moved:
-            # The exact anchor at time m moved, so any node may inherit a
-            # moved entry: run the pass from the root, seeded with the old
-            # values so that it re-solves only what they reach.
-            full_rebuild = True
-            rebuilt_interval = (0, m)
-            self.structure.resolve_subtree(0, m, sink, change)
-            self.counters.full_rebuilds += 1
-        elif midrange is not None:
-            x = shallowest_midpoint(midrange[0], midrange[1])
-            span = x & -x
-            rebuilt_interval = (x - span, x + span)
-            self.structure.resolve_subtree(x - span, x + span, sink, change)
-
+        estimates, rebuilt_interval = structure.settle_chain(t, sink)
         self.t = t
-        d_writes = self._refresh_estimates(rebuilt_interval, t)
+        D = self.D
+        if t == m:  # D is base_m, written whole as the time-m anchor
+            D[:] = estimates
+            d_writes = self.n
+        else:
+            changed = [v for v, (old, new) in enumerate(zip(D, estimates)) if old != new]
+            for v in changed:
+                D[v] = estimates[v]
+            d_writes = len(changed)
         self.counters.d_writes += d_writes
         return InsertReport(
             t=t,
@@ -202,40 +208,23 @@ class OnlineEngine:
             rebuilt_interval=rebuilt_interval,
             nodes_rebuilt=sink.nodes_solved - rebuilt_before,
             nodes_skipped=sink.nodes_skipped - skipped_before,
-            full_rebuild=full_rebuild,
+            full_rebuild=bool(moved),
             d_writes=d_writes,
         )
 
-    def _refresh_estimates(self, rebuilt_interval: tuple[int, int] | None, t: int) -> int:
-        """Replay estimate sets over the repaired span (ascending, capped at t).
+    def flush(self) -> None:
+        """Settle every node that the arrivals left pending."""
+        c = self.counters
+        rebuilt, skipped = c.sink.nodes_solved, c.sink.nodes_skipped
+        self._structure.flush(c.sink)
+        c.flush_rebuilt += c.sink.nodes_solved - rebuilt
+        c.flush_skipped += c.sink.nodes_skipped - skipped
 
-        Vertices no pass touches are dead across the whole span, and a dead
-        vertex's estimate is constant over its span, so the stale entry is
-        still the current value.
-        """
-        if rebuilt_interval is None:
-            times = range(t, t + 1)
-        else:
-            lo, hi = rebuilt_interval
-            times = range(lo, min(hi, t) + 1)
-        D = self.D
-        writes = 0
-        for tt in times:
-            if tt == 0:
-                for v in range(self.n):
-                    D[v] = UNREACHABLE
-                D[self.source] = 0.0
-                writes += self.n
-            elif tt == self.m:
-                base = self.structure.base_m
-                for v in range(self.n):
-                    D[v] = base[v]
-                writes += self.n
-            else:
-                for v, est in self.structure.nodes[tt].alive_estimates.items():
-                    D[v] = est
-                    writes += 1
-        return writes
+    @property
+    def structure(self) -> OfflineStructure:
+        """The recursion tree, flushed first so that every node is current."""
+        self.flush()
+        return self._structure
 
     def fresh_rebuild(self) -> OfflineStructure:
         """From-scratch build on the current corrected timeline (test hook).
@@ -244,10 +233,20 @@ class OnlineEngine:
         against it also checks that the corrections kept the two in step.
         """
         pred_instance = replace(self.instance, sigma=InsertSequence(self.timeline))
-        return build_offline(pred_instance, table=self.structure.table, with_entry_times=False)
+        return build_offline(pred_instance, table=self._structure.table, with_entry_times=False)
 
     def matches_fresh_build(self) -> bool:
+        """Node-for-node equality with a fresh build, after a flush."""
         return structures_equal(self.structure, self.fresh_rebuild())
+
+    def chain_matches_fresh_build(self) -> bool:
+        """Whether base_m and the nodes on the current time's chain equal a fresh build's.
+
+        No flush: these are the nodes every arrival settles.
+        """
+        t, m = self.t, self.m
+        mids = time_ancestors(t, m) + [t] if 0 < t < m else []
+        return structures_equal(self._structure, self.fresh_rebuild(), mids)
 
 
 def start_online(instance: ProblemInstance, prediction_edges: list[EdgeInsert] | None = None) -> OnlineEngine:

@@ -169,10 +169,13 @@ def verify_online_run(
 
     Checks, per insertion: the live estimate array against the exact row,
     streamed from ``exact_rows`` alongside the engine, and (on small
-    timelines) node-level equality with a from-scratch build on the
-    corrected prediction.  After the run: the per-position jump bound and
-    the per-node rebuild bound implied by the prediction's displacement
-    profile.
+    timelines) that base_m and the nodes on the current time's chain equal
+    a from-scratch build on the corrected prediction.  That check does not
+    flush, so the audited run repairs on demand like any other.  After the
+    run the engine is flushed; on small timelines every node is then
+    compared, and the per-position jump bound and the per-node rebuild
+    bound implied by the prediction's displacement profile are checked,
+    counting the flush's re-solves.
     """
     padded = prepare_for_build(instance)
     if prediction_edges is None:
@@ -195,8 +198,11 @@ def verify_online_run(
                 violations.append(
                     {"kind": "live", "v": v, "t": step, "exact": row[v], "answer": engine.D[v], "problem": problem}
                 )
-        if check_fresh and not engine.matches_fresh_build():
-            violations.append({"kind": "structure", "t": step, "problem": "diverged from a fresh build"})
+        if check_fresh and not engine.chain_matches_fresh_build():
+            violations.append({"kind": "structure", "t": step, "problem": "chain diverged from a fresh build"})
+    engine.flush()
+    if check_fresh and not engine.matches_fresh_build():
+        violations.append({"kind": "structure", "t": padded.m, "problem": "flushed tree diverged from a fresh build"})
 
     counters = engine.counters
     worst_jumps = max(counters.jumps_per_position)

@@ -4,6 +4,7 @@ import pytest
 
 from incsp.cli import main
 from incsp.model import parse_instance
+from incsp.offline import tree_level
 from tests.conftest import T1_TEXT
 
 
@@ -179,15 +180,23 @@ def test_online_trace_and_csv(capsys, t1_file, t1_pred_file, tmp_path):
     assert code == 0
     assert len(doc["trace"]) == 4
     assert [r["t"] for r in doc["trace"]] == [1, 2, 3, 4]
+    m = len(doc["trace"])
     for row in doc["trace"]:
         assert {"jumped_positions", "rebuilt_interval", "nodes_rebuilt", "nodes_skipped"} <= row.keys()
+        t = row["t"]
+        # an arrival settles at most node t and its ancestors (none at t = m)
+        chain = tree_level(t, m) if t < m else 0
+        assert row["nodes_rebuilt"] + row["nodes_skipped"] <= chain
         if row["rebuilt_interval"] is None:
-            assert row["nodes_rebuilt"] == row["nodes_skipped"] == 0
+            assert row["nodes_rebuilt"] == 0
         else:
             lo, hi = row["rebuilt_interval"]
-            assert row["nodes_rebuilt"] + row["nodes_skipped"] == hi - lo - 1
+            assert lo < t < hi and (hi - lo) & (hi - lo - 1) == 0
+            assert 1 <= row["nodes_rebuilt"] <= tree_level(t, m) - tree_level((lo + hi) // 2, m) + 1
     counters = doc["counters"]
-    assert counters["nodes_skipped"] == sum(r["nodes_skipped"] for r in doc["trace"])
+    assert counters["nodes_rebuilt"] == sum(r["nodes_rebuilt"] for r in doc["trace"]) + counters["flush_rebuilt"]
+    assert counters["nodes_skipped"] == sum(r["nodes_skipped"] for r in doc["trace"]) + counters["flush_skipped"]
+    assert sum(counters["rebuilds_by_level"].values()) == counters["nodes_rebuilt"]
     lines = table.read_text().splitlines()
     assert lines[0] == "t,edge_id,case,predicted_position,nodes_rebuilt,d_writes"
     assert len(lines) == 5

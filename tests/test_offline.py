@@ -9,7 +9,6 @@ from incsp.model import UNREACHABLE, parse_instance, prepare_for_build
 from incsp.offline import (
     build_offline,
     dijkstra,
-    shallowest_midpoint,
     structures_equal,
     time_ancestors,
     tree_level,
@@ -20,34 +19,6 @@ from tests.conftest import T1_ORACLE_ROWS, assert_alive_sets_nested
 
 
 # -- tree navigation ----------------------------------------------------------
-
-
-def test_shallowest_midpoint_examples():
-    assert shallowest_midpoint(1, 3) == 2
-    assert shallowest_midpoint(5, 5) == 5
-    assert shallowest_midpoint(4, 7) == 4
-
-
-def test_shallowest_midpoint_rejects_empty():
-    with pytest.raises(ValueError):
-        shallowest_midpoint(3, 2)
-    with pytest.raises(ValueError):
-        shallowest_midpoint(0, 2)
-
-
-def test_shallowest_midpoint_exhaustive():
-    # the winner lies in range, has maximal 2-adic valuation, and its
-    # subtree interval covers the whole range
-    for exp in range(1, 9):
-        m = 1 << exp
-        for a in range(1, m):
-            for b in range(a, m):
-                x = shallowest_midpoint(a, b)
-                assert a <= x <= b
-                span = x & -x
-                assert a >= x - span and b <= x + span
-                for other in range(a, b + 1):
-                    assert (other & -other) <= span
 
 
 def test_tree_level():

@@ -14,7 +14,7 @@ from incsp.model import (
     parse_instance,
     prepare_for_build,
 )
-from incsp.offline import structures_equal
+from incsp.offline import structures_equal, time_ancestors
 from incsp.online import (
     OnlineEngine,
     jumped_midpoint_range,
@@ -93,6 +93,9 @@ def test_t1_permuted_trace(t1_padded, t1_permuted):
     assert first.jumped_positions == (1, 1)
     assert first.rebuilt_interval == (0, 2)
     assert first.nodes_rebuilt == 1
+    # the one re-solve happened on the first arrival's chain; nothing waits
+    engine.flush()
+    assert engine.counters.flush_rebuilt == engine.counters.flush_skipped == 0
     assert engine.counters.nodes_rebuilt == 1
     assert engine.counters.total_jumps == 1
     assert engine.counters.jumps_per_position[1:5] == [1, 0, 0, 0]
@@ -218,8 +221,8 @@ def test_conflicting_description_rejected(t1_padded, t1_permuted):
         engine.insert(EdgeInsert(0, 0, 1, 7))
 
 
-def _engine_state(engine):
-    s = engine.structure
+def _engine_state(engine, s):
+    """Everything an arrival may change; s is the engine's structure, read without a flush."""
     cols = engine.timeline.columns
     return (
         engine.t,
@@ -228,6 +231,8 @@ def _engine_state(engine):
         [column.copy() for column in (cols.head, cols.tail, cols.weight, cols.position, cols.order)],
         s.base_m[:],
         [id(node) for node in s.nodes],
+        sorted(s.marked),
+        dict(s.pending),
         dict(engine.counters.case_counts),
         engine.counters.total_jumps,
         engine.counters.nodes_rebuilt,
@@ -248,12 +253,13 @@ def _engine_state(engine):
 def test_invalid_arrival_rejected_without_mutation(bad):
     inst = prepare_for_build(parse_instance(W4_TEXT))
     engine = OnlineEngine(inst, align_prediction(list(inst.sigma), inst))
+    s = engine.structure
     edges = list(inst.sigma)
     engine.insert(edges[0])
-    before = _engine_state(engine)
+    before = _engine_state(engine, s)
     with pytest.raises(ValueError):
         engine.insert(bad)
-    assert _engine_state(engine) == before
+    assert _engine_state(engine, s) == before
     for edge in edges[1:]:
         engine.insert(edge)
     assert engine.D == [0, 2, 4]
@@ -333,18 +339,25 @@ def test_replays_leave_shared_sequences_unchanged():
     assert [_sequence_state(padded.sigma), _sequence_state(aligned)] == before
 
 
+def _chain(t, m):
+    """Node t and its ancestors: the nodes an arrival at t settles."""
+    return time_ancestors(t, m) + [t] if 0 < t < m else []
+
+
 def test_untouched_nodes_keep_their_objects():
+    # An arrival replaces node objects only on its own chain.
     inst = generate(n=8, m=32, W=6, seed=9, epsilon=0.5)
     padded, engine = _replay(inst, "window_shuffle", k=8)
-    for edge in padded.sigma:
-        before = [id(node) for node in engine.structure.nodes]
-        report = engine.insert(edge)
-        after = [id(node) for node in engine.structure.nodes]
-        lo, hi = report.rebuilt_interval or (1, 0)
+    s = engine.structure
+    for t, edge in enumerate(padded.sigma, start=1):
+        before = list(s.nodes)
+        engine.insert(edge)
+        chain = set(_chain(t, padded.m))
         for mid in range(1, padded.m):
-            if lo <= mid <= hi:
-                continue
-            assert before[mid] == after[mid]
+            if mid not in chain:
+                assert s.nodes[mid] is before[mid]
+    engine.flush()
+    assert engine.counters.flush_rebuilt > 0  # the run did leave work behind
 
 
 def test_per_step_sandwich_random():
@@ -430,7 +443,8 @@ def test_D_matches_structure_after_every_arrival(seed, n, m, spec):
     for edge in engine.instance.sigma:
         engine.insert(edge)
         assert engine.D == [s.estimate_at(v, engine.t) for v in range(engine.n)]
-    assert_alive_sets_nested(s)
+    # nodes off the last chains may still be pending until the flush
+    assert_alive_sets_nested(engine.structure)
 
 
 def test_case_counts_partition_the_run():
@@ -498,33 +512,56 @@ FAMILIES = [
 ]
 
 
+def _assert_chain_consistent(engine):
+    """D and the current time's chain equal a fresh build's, without a flush."""
+    fresh = engine.fresh_rebuild()
+    assert engine.D == [fresh.estimate_at(v, engine.t) for v in range(engine.n)]
+    assert engine.chain_matches_fresh_build()
+
+
 def _assert_consistent(engine):
-    s = engine.structure
+    _assert_chain_consistent(engine)
+    s = engine.structure  # flushed
     assert engine.D == [s.estimate_at(v, engine.t) for v in range(engine.n)]
     assert engine.matches_fresh_build()
 
 
 @pytest.mark.parametrize("kind, kwargs", FAMILIES, ids=[kind for kind, _ in FAMILIES])
 def test_reports_partition_the_rebuilt_interval(kind, kwargs):
+    # An arrival re-solves only nodes of its chain, nodes_rebuilt counts
+    # exactly the nodes it replaced, and rebuilt_interval is the interval of
+    # the shallowest of them; at most the chain's nodes are settled.
     inst = generate(n=12, m=128, W=8, seed=4, epsilon=0.5)
     padded, engine = _replay(inst, kind, **kwargs)
-    for edge in padded.sigma:
+    s = engine.structure
+    for t, edge in enumerate(padded.sigma, start=1):
+        before = list(s.nodes)
         report = engine.insert(edge)
+        solved = [mid for mid in range(1, padded.m) if s.nodes[mid] is not before[mid]]
+        chain = _chain(t, padded.m)
+        assert set(solved) <= set(chain)
+        assert len(solved) == report.nodes_rebuilt
+        assert report.nodes_rebuilt + report.nodes_skipped <= len(chain)
         if report.rebuilt_interval is None:
-            assert report.nodes_rebuilt == report.nodes_skipped == 0
+            assert report.nodes_rebuilt == 0
         else:
             lo, hi = report.rebuilt_interval
-            assert report.nodes_rebuilt + report.nodes_skipped == hi - lo - 1
+            assert (lo + hi) // 2 in solved
+            assert all(lo < mid < hi for mid in solved)
 
 
 def test_window_shuffle_replay_skips_nodes():
     inst = generate(n=12, m=128, W=8, seed=4, epsilon=0.5)
     padded, engine = _replay(inst, "window_shuffle", k=8)
     reports = [engine.insert(edge) for edge in padded.sigma]
-    sink = engine.counters.sink
+    c = engine.counters
+    sink = c.sink
     assert sink.nodes_skipped == sum(r.nodes_skipped for r in reports) > 0
+    assert sink.nodes_solved == sum(r.nodes_rebuilt for r in reports)
+    engine.flush()
+    assert sink.nodes_skipped == sum(r.nodes_skipped for r in reports) + c.flush_skipped
     # skipped nodes stay out of the per-node rebuild counts
-    assert sink.nodes_solved == sum(r.nodes_rebuilt for r in reports) == sum(sink.rebuilds_per_node)
+    assert sink.nodes_solved == sum(r.nodes_rebuilt for r in reports) + c.flush_rebuilt == sum(sink.rebuilds_per_node)
     assert engine.matches_fresh_build()
 
 
@@ -537,20 +574,35 @@ def test_fresh_build_equality_above_the_small_limit(m, kind, kwargs):
         engine.insert(edge)
         if t % 16 == 0 or t == padded.m:
             _assert_consistent(engine)
+        elif t % 4 == 0:
+            _assert_chain_consistent(engine)
 
 
 def test_root_pass_after_base_move_is_pruned():
-    # At this seed five unpredicted arrivals move the exact distances at time m.
+    # At this seed five unpredicted arrivals move the exact distances at time
+    # m.  Each leaves the root a pending diff that its own chain settles:
+    # the root is re-solved (and rebuilt_interval is the whole timeline) or
+    # kept, and the rest of the tree waits.  The last arrival's chain is
+    # empty (D is base_m), so its diff waits for the flush.
     inst = generate(n=16, m=128, W=8, seed=4, epsilon=0.5)
     engine = start_online(inst, perturb(inst, PerturbationSpec("replace", seed=4, p=0.05)))
+    s = engine.structure
+    root = engine.m // 2
     root_passes = 0
-    for edge in engine.instance.sigma:
+    for t, edge in enumerate(engine.instance.sigma, start=1):
+        old_root = s.nodes[root]
         report = engine.insert(edge)
         if report.full_rebuild:
             root_passes += 1
             assert report.case == "absent"
-            assert report.rebuilt_interval == (0, engine.m)
-            assert report.nodes_rebuilt < engine.m - 1
+            re_solved = s.nodes[root] is not old_root
+            if t < engine.m:
+                assert root not in s.pending
+                assert re_solved or report.nodes_skipped >= 1
+            else:
+                assert report.nodes_rebuilt == report.nodes_skipped == 0
+            assert (report.rebuilt_interval == (0, engine.m)) == re_solved
+            assert report.nodes_rebuilt <= len(_chain(t, engine.m))
             _assert_consistent(engine)
     assert root_passes == engine.counters.full_rebuilds > 0
 
@@ -559,14 +611,69 @@ def test_subtree_skip_checks_stale_tails_below_the_top_node():
     # At this seed arrival 127 moves the inherited estimate of a vertex that
     # is dead at the top of a subtree whose end maps are unchanged and whose
     # jumped prefixes touch no alive vertex.  The vertex is the tail of an
-    # edge into the top node's alive set, so the subtree must be re-solved;
-    # skipping it leaves a structure unlike a fresh build until arrival 143.
+    # edge into the top node's alive set, so the moved value must reach the
+    # nodes below; losing it leaves a structure unlike a fresh build until
+    # arrival 143.
     inst = generate(n=80, m=512, W=16, seed=11, epsilon=0.5)
     engine = start_online(inst, perturb(inst, PerturbationSpec("relocate", seed=11, p=0.05)))
     for t, edge in enumerate(engine.instance.sigma[:144], start=1):
         engine.insert(edge)
         if t % 16 == 0 or t == 127:
             _assert_consistent(engine)
+
+
+DIFFERENTIAL = [
+    ("identity", {}),
+    ("window_shuffle", {"k": 4}),
+    ("window_shuffle", {"k": 64}),  # k = m: a random permutation
+    ("relocate", {"p": 0.1}),
+    ("replace", {"p": 0.1}),
+]
+
+
+@pytest.mark.parametrize("kind, kwargs", DIFFERENTIAL, ids=[f"{k}-{a}" for k, a in DIFFERENTIAL])
+def test_flushing_after_every_arrival_never_changes_D(kind, kwargs):
+    # One engine never flushed beside one flushed after every arrival: their
+    # D agree in repr (0 against 0.0 included) at every step, each arrival
+    # writes exactly the entries that changed, and both end as fresh builds.
+    inst = generate(n=12, m=64, W=8, seed=31, epsilon=0.5)
+    padded, lazy = _replay(inst, kind, **kwargs)
+    flushed = _replay(inst, kind, **kwargs)[1]
+    for edge in padded.sigma:
+        before = lazy.D[:]
+        report = lazy.insert(edge)
+        flushed.insert(edge)
+        flushed.flush()
+        assert repr(lazy.D) == repr(flushed.D)
+        changed = sum(a != b for a, b in zip(before, lazy.D))
+        assert report.d_writes == (padded.n if lazy.t == padded.m else changed)
+    assert lazy.counters.flush_rebuilt == 0 or kind != "identity"
+    assert lazy.matches_fresh_build()
+    assert flushed.matches_fresh_build()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(4, 12),
+    m=st.integers(2, 64),
+    spec=perturbations,
+    flush_at=st.sets(st.integers(1, 64)),
+)
+def test_random_flush_points_keep_D(seed, n, m, spec, flush_at):
+    inst = generate(n=n, m=m, W=6, seed=seed, epsilon=0.5)
+    if spec.kind == "replace":
+        assume(math.ceil(spec.p * m) <= n * (n - 1) * 6 - m)
+    pred = perturb(inst, spec)
+    lazy, flushed = start_online(inst, pred), start_online(inst, pred)
+    for t, edge in enumerate(lazy.instance.sigma, start=1):
+        lazy.insert(edge)
+        flushed.insert(edge)
+        if t in flush_at:
+            assert flushed.matches_fresh_build()
+        assert repr(lazy.D) == repr(flushed.D)
+        assert lazy.chain_matches_fresh_build()
+    assert lazy.matches_fresh_build()
 
 
 class ArbitraryArrivals(RuleBasedStateMachine):
@@ -582,6 +689,7 @@ class ArbitraryArrivals(RuleBasedStateMachine):
     @initialize(seed=st.integers(0, 10_000), n=st.integers(3, 8), m=st.integers(2, 32))
     def build(self, seed, n, m):
         self.engine = start_online(generate(n=n, m=m, W=self.W, seed=seed, epsilon=0.5))
+        self.structure = self.engine.structure  # read below without a flush
         self.pending = list(self.engine.instance.sigma)
         self.arrived = []
         self.next_id = 1 + max(e.edge_id for e in self.pending)
@@ -593,10 +701,10 @@ class ArbitraryArrivals(RuleBasedStateMachine):
             self.pending.remove(edge)
 
     def _reject(self, edge):
-        before = _engine_state(self.engine)
+        before = _engine_state(self.engine, self.structure)
         with pytest.raises(ValueError):
             self.engine.insert(edge)
-        assert _engine_state(self.engine) == before
+        assert _engine_state(self.engine, self.structure) == before
 
     @precondition(lambda self: self.engine.t < self.engine.m)
     @rule(data=st.data())
@@ -629,8 +737,15 @@ class ArbitraryArrivals(RuleBasedStateMachine):
             bad.append(EdgeInsert(self.next_id, 0, 0, 1))
         self._reject(data.draw(st.sampled_from(bad)))
 
+    @rule()
+    def flush(self):
+        _assert_consistent(self.engine)
+
     @invariant()
     def matches_structure_and_fresh_build(self):
+        _assert_chain_consistent(self.engine)
+
+    def teardown(self):
         _assert_consistent(self.engine)
 
 
