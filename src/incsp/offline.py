@@ -219,8 +219,8 @@ class OfflineStructure:
         self.table = table
         self.cols = instance.sigma.columns  # model.EdgeColumns, shared by every structure on this timeline
         self.nodes: list[RecursionNode | None] = [None] * m
-        # The interval-end maps at times 0 and m live across resolve_subtree
-        # calls; recompute_base keeps the time-m one in step with base_m.
+        # The interval-end maps at times 0 and m live across repairs;
+        # recompute_base keeps the time-m one in step with base_m.
         self.base_m: list[float] = [UNREACHABLE] * self.n
         self._est_m: dict[int, float] = dict.fromkeys(range(self.n), UNREACHABLE)
         self._est_0: dict[int, float] = dict.fromkeys(range(self.n), UNREACHABLE)
@@ -235,6 +235,12 @@ class OfflineStructure:
         # change touched their stored alive set, and each node's pending diff.
         self.marked: set[int] = set()
         self.pending: dict[int, _InputDiff] = {}
+        # settle_chain's estimates at the last time it settled (None before
+        # the first call), the path it overlaid there as (node, undo) pairs,
+        # and the base_m entries moved since.
+        self.est_t: list[float] | None = None
+        self._path: list[tuple[RecursionNode, list[float]]] = []
+        self._base_moved: set[int] = set()
 
     # -- estimate resolution -------------------------------------------------
 
@@ -420,16 +426,9 @@ class OfflineStructure:
         node = self.nodes[hi]
         return lo_est, node.alive_estimates, node.alive_edges
 
-    def resolve_subtree(self, lo: int, hi: int, sink: SolveCounters) -> None:
-        """Solve the node covering [lo, hi] and every node below it."""
-        lo_est, hi_est, edges_hi = self._ends(lo, hi)
-        # Merge the ancestors' estimates root first, so each vertex ends on
-        # its deepest alive one.
-        above = list(self.base_m)
-        for t in time_ancestors((lo + hi) // 2, self.m):
-            for v, est in self.nodes[t].alive_estimates.items():
-                above[v] = est
-        self._solve(lo, hi, lo_est, hi_est, edges_hi, above, sink)
+    def resolve_subtree(self, sink: SolveCounters) -> None:
+        """Solve every node of the tree (a build)."""
+        self._solve(0, self.m, self._est_0, self._est_m, self.cols.order, list(self.base_m), sink)
 
     # -- demand-driven repair --------------------------------------------------
 
@@ -461,6 +460,7 @@ class OfflineStructure:
     def push_base_move(self, old_base: dict[int, float]) -> None:
         """Leave the root a pending diff for base_m entries that recompute_base moved."""
         self._push(self.m // 2, _InputDiff(set(), set(old_base), old_base))
+        self._base_moved.update(old_base)
 
     def _settle(self, lo: int, hi: int, above: list[float], sink: SolveCounters) -> RecursionNode:
         """Bring the node covering [lo, hi] up to date; its ancestors must be.
@@ -490,26 +490,53 @@ class OfflineStructure:
             self._push((mid + hi) // 2, _InputDiff(moved, diff.hi, stale))
         return node
 
-    def settle_chain(self, t: int, sink: SolveCounters) -> tuple[list[float], tuple[int, int] | None]:
-        """Settle node t and its ancestors, root first.
+    def settle_chain(self, t: int, sink: SolveCounters) -> tuple[list[int], tuple[int, int] | None]:
+        """Settle node t and its ancestors, root first, and bring est_t to time t.
 
-        Returns every vertex's estimate at t and the interval of the
-        shallowest node re-solved (None when none was).
+        est_t is base_m overlaid with the alive estimates of the path (t's
+        ancestors, then t) root first.  Each overlay keeps the entries it
+        replaced, so a call undoes the previous path only below the part
+        the new path shares with it and needs no settling, then overlays
+        the rest; consecutive times share all but the deepest nodes.  A
+        node changes only when settled, and settling acts only on a marked
+        node or one with a pending diff, so the shared part is current; a
+        moved base_m leaves a diff at the root, so the whole path is undone
+        before the moved entries are written.  Returns the vertices whose
+        entry may have moved since the previous call (all of them may have
+        on the first) and the interval of the shallowest node re-solved
+        (None when none was).
         """
-        # A dict keyed 0..n-1 merges each node's estimates in one C-level
-        # update and keeps the vertex order for the returned list.
-        above = list(self.base_m)
+        if self.est_t is None:
+            self.est_t = list(self.base_m)
+        est, path, touched = self.est_t, self._path, []
+        mids = time_ancestors(t, self.m) + [t] if 0 < t < self.m else []
+        keep = 0
+        for (node, _), mid in zip(path, mids):
+            if node.mid != mid or mid in self.pending or mid in self.marked:
+                break
+            keep += 1
+        while len(path) > keep:
+            node, undo = path.pop()
+            for v, value in zip(node.alive_estimates, undo):
+                est[v] = value
+            touched.extend(node.alive_estimates)
+        for v in self._base_moved:
+            est[v] = self.base_m[v]
+        touched.extend(self._base_moved)
+        self._base_moved.clear()
         top = None
-        lo, hi = 0, self.m
-        while lo < t < hi:
-            mid = (lo + hi) // 2
+        for mid in mids[keep:]:
+            span = mid & -mid
             solved = sink.nodes_solved
-            for v, value in self._settle(lo, hi, above, sink).alive_estimates.items():
-                above[v] = value
+            node = self._settle(mid - span, mid + span, est, sink)
             if top is None and sink.nodes_solved > solved:
-                top = (lo, hi)
-            lo, hi = (lo, mid) if t < mid else (mid, hi)
-        return above, top
+                top = (mid - span, mid + span)
+            alive = node.alive_estimates
+            path.append((node, [est[v] for v in alive]))
+            for v, value in alive.items():
+                est[v] = value
+            touched.extend(alive)
+        return touched, top
 
     def flush(self, sink: SolveCounters) -> None:
         """Settle every node, root first."""
@@ -627,7 +654,7 @@ def build_offline(
     structure.recompute_base()
     if with_entry_times:
         structure._record_anchor_entries()
-    structure.resolve_subtree(0, structure.m, structure.stats)
+    structure.resolve_subtree(structure.stats)
     if with_entry_times:
         structure._finalize_entry_times()
     return structure

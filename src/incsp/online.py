@@ -19,7 +19,10 @@ settled, root first; every other node waits, with its input diffs
 accumulated, until a later chain reaches it or flush() settles the whole
 tree.  Repair cost thus tracks prediction quality rather than instance
 size, and a node dirtied many times between two demands is solved once.
-D is rewritten only where an estimate changed (wholly at t = m).
+D is rewritten only where an estimate changed (wholly at t = m), and only
+the vertices of the path nodes that settle_chain swapped in or out are
+compared, so an arrival that re-solves nothing costs about the alive sets
+of the few deepest nodes on its path.
 """
 
 from __future__ import annotations
@@ -187,17 +190,19 @@ class OnlineEngine:
 
         sink = self.counters.sink
         rebuilt_before, skipped_before = sink.nodes_solved, sink.nodes_skipped
-        estimates, rebuilt_interval = structure.settle_chain(t, sink)
+        touched, rebuilt_interval = structure.settle_chain(t, sink)
         self.t = t
         D = self.D
         if t == m:  # D is base_m, written whole as the time-m anchor
-            D[:] = estimates
+            D[:] = structure.base_m
             d_writes = self.n
         else:
-            changed = [v for v, (old, new) in enumerate(zip(D, estimates)) if old != new]
-            for v in changed:
-                D[v] = estimates[v]
-            d_writes = len(changed)
+            estimates = structure.est_t
+            d_writes = 0
+            for v in range(self.n) if t == 1 else touched:  # D starts at time 0
+                if D[v] != estimates[v]:
+                    D[v] = estimates[v]
+                    d_writes += 1
         self.counters.d_writes += d_writes
         return InsertReport(
             t=t,

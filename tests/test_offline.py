@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from incsp.bucketing import derive_internal_epsilon
 from incsp.model import UNREACHABLE, parse_instance, prepare_for_build
 from incsp.offline import (
+    SolveCounters,
     build_offline,
     dijkstra,
     structures_equal,
@@ -207,6 +208,20 @@ def test_estimates_constant_over_dead_spans(random_case):
         for v in range(s.n):
             if v not in s.nodes[t].alive_estimates:
                 assert s.estimate_at(v, t) == s.estimate_at(v, t - 1)
+
+
+def test_settle_chain_tracks_estimates_at_any_time_order(random_case):
+    padded, _, _ = random_case
+    s = build_offline(padded, with_entry_times=False)
+    sink = SolveCounters(s.n, s.m)
+    times = [5, 6, 1, 63, 32, 33, 2, 64, 17, 16, 48, 7]
+    before = list(s.base_m)
+    for t in times:
+        touched, top = s.settle_chain(t, sink)
+        assert top is None and sink.nodes_solved == 0
+        assert s.est_t == [s.estimate_at(v, t) for v in range(s.n)]
+        assert {v for v in range(s.n) if s.est_t[v] != before[v]} <= set(touched)
+        before = list(s.est_t)
 
 
 def test_node_estimates_sandwich_by_level(random_case):

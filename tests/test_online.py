@@ -583,13 +583,19 @@ def test_root_pass_after_base_move_is_pruned():
     # m.  Each leaves the root a pending diff that its own chain settles:
     # the root is re-solved (and rebuilt_interval is the whole timeline) or
     # kept, and the rest of the tree waits.  The last arrival's chain is
-    # empty (D is base_m), so its diff waits for the flush.
+    # empty (D is base_m), so its diff waits for the flush.  The tree is
+    # flushed before every arrival, so the chain's re-solves plus those of
+    # the flush after a base move are all that move's diff reaches: fewer
+    # than the tree's m - 1 nodes, and exactly as many as the eager root
+    # pass (a subtree pass at every arrival) re-solved at this seed.
     inst = generate(n=16, m=128, W=8, seed=4, epsilon=0.5)
     engine = start_online(inst, perturb(inst, PerturbationSpec("replace", seed=4, p=0.05)))
     s = engine.structure
     root = engine.m // 2
     root_passes = 0
+    reach = []
     for t, edge in enumerate(engine.instance.sigma, start=1):
+        engine.flush()
         old_root = s.nodes[root]
         report = engine.insert(edge)
         if report.full_rebuild:
@@ -603,8 +609,13 @@ def test_root_pass_after_base_move_is_pruned():
                 assert report.nodes_rebuilt == report.nodes_skipped == 0
             assert (report.rebuilt_interval == (0, engine.m)) == re_solved
             assert report.nodes_rebuilt <= len(_chain(t, engine.m))
+            flushed = engine.counters.flush_rebuilt
             _assert_consistent(engine)
+            reached = report.nodes_rebuilt + engine.counters.flush_rebuilt - flushed
+            assert reached < engine.m - 1
+            reach.append(reached)
     assert root_passes == engine.counters.full_rebuilds > 0
+    assert reach == [64, 48, 13, 3, 0]
 
 
 def test_subtree_skip_checks_stale_tails_below_the_top_node():
