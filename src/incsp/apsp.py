@@ -1,11 +1,14 @@
 """All-pairs layer over the single-source machinery.
 
-Offline: one per-source structure per vertex, all sharing one bucket table
-so estimates are mutually consistent.  Online: predictions must permute the
-true edge set; arrivals advance a frontier through the predicted order, and
-queries run Dijkstra on a small patch whose size is bounded by the count of
-arrived-but-not-yet-frontier-covered edges (at most the maximum
-displacement of the permutation).
+Offline: one per-source build per vertex, all sharing one bucket table so
+estimates are mutually consistent.  Nothing repairs them and a query reads
+only entry rows, so a source keeps just a QueryTable (its entry rows and
+build counters, and the shared table); its recursion tree, end maps and
+repair state are garbage before the next source is built.  Online:
+predictions must permute the true edge set; arrivals advance a frontier
+through the predicted order, and queries run Dijkstra on a small patch
+whose size is bounded by the count of arrived-but-not-yet-frontier-covered
+edges (at most the maximum displacement of the permutation).
 
 The per-source structures never change after the build, so an online patch
 lookup depends only on (u, v, frontier).  `OnlineApsp` keeps two caches, both
@@ -28,13 +31,13 @@ from .bucketing import derive_internal_epsilon, make_table
 from .model import (
     UNREACHABLE, EdgeInsert, ProblemInstance, align_prediction, check_edge, check_prediction, prepare_for_build,
 )
-from .offline import OfflineStructure, build_offline, dijkstra
+from .offline import QueryTable, build_offline, dijkstra
 
 
 class ApspStructure:
-    """Per-source structures sharing one table; query(i, j, t) in O(log log)."""
+    """n QueryTables (entry rows and build counters, no tree) on one table; query(i, j, t) in O(log log)."""
 
-    def __init__(self, per_source: list[OfflineStructure], table):
+    def __init__(self, per_source: list[QueryTable], table):
         self.per_source = per_source
         self.table = table
         self.n = len(per_source)
@@ -59,8 +62,13 @@ def build_apsp(instance: ProblemInstance) -> ApspStructure:
     """
     padded = prepare_for_build(instance)
     table = make_table(derive_internal_epsilon(padded.epsilon), padded.m, padded.n, padded.W)
-    per_source = [build_offline(replace(padded, source=s), table=table) for s in range(padded.n)]
-    return ApspStructure(per_source, table)
+    return ApspStructure([_query_table(replace(padded, source=s), table) for s in range(padded.n)], table)
+
+
+def _query_table(instance: ProblemInstance, table) -> QueryTable:
+    """One source's build, reduced to its query tables; the tree dies on return."""
+    built = build_offline(instance, table=table)
+    return QueryTable(built.n, built.m, built.source, table, built.entry_times, built.stats)
 
 
 class OnlineApsp:

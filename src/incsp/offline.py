@@ -34,7 +34,10 @@ once per timeline and shared by every structure on it.
 
 Query tables: while solving, each vertex records the earliest time its
 estimate entered each coarse grid cell.  After a fill-and-floor pass the
-rows are non-increasing, and a query binary-searches the row.
+rows are non-increasing, and a query binary-searches the row.  QueryTable
+holds the rows, the bucket table and the counters; OfflineStructure adds the
+tree, end maps and repair state.  Where nothing repairs a build (all-pairs
+keeps one per source), a QueryTable sharing its rows outlives the tree.
 
 Repair: the online engine changes the structure only through
 recompute_base, mark_prefixes, push_base_move, settle_chain and flush, and
@@ -206,17 +209,63 @@ def dijkstra(adj, source: int, target: int | None = None) -> dict[int, float]:
     return dist
 
 
-class OfflineStructure:
-    """Recursion tree plus query tables for one source."""
+class QueryTable:
+    """One source's query tables without the tree: entry rows (None when not
+    kept), the BucketTable their cells index and the build's SolveCounters.
+    No slots, so a caller may shadow query on an instance (the bench does).
+    """
+
+    def __init__(self, n, m, source, table: BucketTable, entry_times: list[list[int]] | None, stats):
+        self.n, self.m, self.source = n, m, source
+        self.table, self.entry_times, self.stats = table, entry_times, stats
+
+    def _entry_row(self, v: int, t: int) -> list[int] | None:
+        """v's entry-time row after argument checks; None for the source."""
+        if self.entry_times is None:
+            raise ValueError("structure was built without query tables")
+        if not 0 <= v < self.n:
+            raise ValueError("vertex id out of range")
+        if not 0 <= t <= self.m:
+            raise ValueError("time out of range")
+        return None if v == self.source else self.entry_times[v]
+
+    def query(self, v: int, t: int) -> float:
+        """Approximate distance at time t: a bisect over v's non-increasing row."""
+        row = self._entry_row(v, t)
+        if row is None:
+            return 0.0
+        lo = bisect_left(row, -t, key=neg)
+        return UNREACHABLE if lo == len(row) else self.table.coarse[lo]
+
+    def query_with_cost(self, v: int, t: int) -> tuple[float, int]:
+        """query(v, t) plus the comparison count of a counted binary search."""
+        row = self._entry_row(v, t)
+        if row is None:
+            return 0.0, 0
+        lo, hi = 0, len(row)
+        comparisons = 0
+        while lo < hi:
+            mid = (lo + hi) // 2
+            comparisons += 1
+            if row[mid] <= t:
+                hi = mid
+            else:
+                lo = mid + 1
+        if lo == len(row):
+            return UNREACHABLE, comparisons
+        return self.table.coarse[lo], comparisons
+
+
+class OfflineStructure(QueryTable):
+    """Recursion tree, end maps and repair state over one source's query tables."""
 
     def __init__(self, instance: ProblemInstance, table: BucketTable, with_entry_times: bool):
         m = instance.m
         if m < 2 or m & (m - 1):
             raise ValueError("build requires a power-of-two timeline of length >= 2")
-        self.n = instance.n
-        self.m = m
-        self.source = instance.source
-        self.table = table
+        n = instance.n
+        rows = [[m + 1] * len(table.coarse) for _ in range(n)] if with_entry_times else None
+        super().__init__(n, m, instance.source, table, rows, SolveCounters(n, m))
         self.cols = instance.sigma.columns  # model.EdgeColumns, shared by every structure on this timeline
         self.nodes: list[RecursionNode | None] = [None] * m
         # The interval-end maps at times 0 and m live across repairs;
@@ -225,12 +274,7 @@ class OfflineStructure:
         self._est_m: dict[int, float] = dict.fromkeys(range(self.n), UNREACHABLE)
         self._est_0: dict[int, float] = dict.fromkeys(range(self.n), UNREACHABLE)
         self._est_0[self.source] = 0
-        self.unset = m + 1  # sentinel above every valid time
-        self.entry_times: list[list[int]] | None = None
-        if with_entry_times:
-            cells = len(table.coarse)
-            self.entry_times = [[self.unset] * cells for _ in range(self.n)]
-        self.stats = SolveCounters(self.n, m)
+        self.unset = m + 1  # sentinel above every valid time, the rows' initial value
         # Repair state (see the module docstring): the midpoints whose prefix
         # change touched their stored alive set, and each node's pending diff.
         self.marked: set[int] = set()
@@ -593,42 +637,6 @@ class OfflineStructure:
                 if value < carry:
                     carry = value
                 row[i] = carry
-
-    def _entry_row(self, v: int, t: int) -> list[int] | None:
-        """v's entry-time row after argument checks; None for the source."""
-        if self.entry_times is None:
-            raise ValueError("structure was built without query tables")
-        if not 0 <= v < self.n:
-            raise ValueError("vertex id out of range")
-        if not 0 <= t <= self.m:
-            raise ValueError("time out of range")
-        return None if v == self.source else self.entry_times[v]
-
-    def query(self, v: int, t: int) -> float:
-        """Approximate distance at time t: a bisect over v's non-increasing row."""
-        row = self._entry_row(v, t)
-        if row is None:
-            return 0.0
-        lo = bisect_left(row, -t, key=neg)
-        return UNREACHABLE if lo == len(row) else self.table.coarse[lo]
-
-    def query_with_cost(self, v: int, t: int) -> tuple[float, int]:
-        """query(v, t) plus the comparison count of a counted binary search."""
-        row = self._entry_row(v, t)
-        if row is None:
-            return 0.0, 0
-        lo, hi = 0, len(row)
-        comparisons = 0
-        while lo < hi:
-            mid = (lo + hi) // 2
-            comparisons += 1
-            if row[mid] <= t:
-                hi = mid
-            else:
-                lo = mid + 1
-        if lo == len(row):
-            return UNREACHABLE, comparisons
-        return self.table.coarse[lo], comparisons
 
 
 def build_offline(

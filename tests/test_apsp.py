@@ -1,11 +1,17 @@
+import gc
 import random
+import tracemalloc
+import weakref
+from dataclasses import replace
 
 import pytest
 
+import incsp.apsp
 from incsp.apsp import OnlineApsp, build_apsp
+from incsp.bucketing import derive_internal_epsilon, make_table
 from incsp.metrics import compute_profile
 from incsp.model import UNREACHABLE, EdgeInsert, parse_instance, prepare_for_build
-from incsp.offline import dijkstra
+from incsp.offline import build_offline, dijkstra
 from incsp.oracle import exact_apsp_table, verify_apsp_offline
 from incsp.workload import PerturbationSpec, generate, perturb
 from tests.conftest import W4_TEXT
@@ -73,6 +79,84 @@ def test_query_with_cost_stays_logarithmic(t1):
                 value, comparisons = apsp.query_with_cost(i, j, t)
                 assert value == apsp.query(i, j, t)
                 assert comparisons <= bound
+
+
+def test_build_apsp_keeps_no_tree(monkeypatch):
+    # Each per-source tree must be garbage once build_apsp returns: only
+    # its query tables are kept.
+    refs = []
+
+    def tracked(*args, **kwargs):
+        structure = build_offline(*args, **kwargs)
+        refs.append(weakref.ref(structure))
+        return structure
+
+    monkeypatch.setattr(incsp.apsp, "build_offline", tracked)
+    apsp = build_apsp(generate(n=30, m=256, W=16, seed=7, epsilon=0.5))
+    assert len(refs) == apsp.n == 30
+    assert all(ref() is None for ref in refs)
+
+
+def _traced_bytes_held(build) -> int:
+    """Bytes still allocated, under tracemalloc, by what build() returns."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = build()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    del kept
+    return held
+
+
+def test_build_apsp_holds_a_fraction_of_the_trees():
+    # Measured at n=30, m=256: 0.62 MiB of query tables against 4.66 MiB
+    # of per-source trees.
+    inst = generate(n=30, m=256, W=16, seed=7, epsilon=0.5)
+
+    def trees():
+        padded = prepare_for_build(inst)
+        table = make_table(derive_internal_epsilon(padded.epsilon), padded.m, padded.n, padded.W)
+        return [build_offline(replace(padded, source=s), table=table) for s in range(padded.n)]
+
+    assert 3 * _traced_bytes_held(lambda: build_apsp(inst)) <= _traced_bytes_held(trees)
+
+
+def test_per_source_tables_keep_what_the_bench_reads():
+    # bench/workloads.py counts every per-source entry's stats, m and table,
+    # and under tracing shadows each entry's query on the instance.
+    inst = generate(n=12, m=128, W=8, seed=19, epsilon=0.5)
+    pred = perturb(inst, PerturbationSpec("window_shuffle", seed=5, k=8))
+    online, plain = OnlineApsp(inst, pred), OnlineApsp(inst, pred)
+    apsp = online.apsp
+    timeline = replace(online.instance, sigma=online.prediction)
+    for u, s in enumerate(apsp.per_source):
+        fresh = build_offline(replace(timeline, source=u), table=apsp.table)
+        assert s.table is apsp.table
+        assert (s.m, s.table.k_fine, s.table.k_coarse) == (fresh.m, fresh.table.k_fine, fresh.table.k_coarse)
+        for field in ("nodes_solved", "scan_work", "total_alive_edges", "alive_edges_per_node"):
+            assert getattr(s.stats, field) == getattr(fresh.stats, field), field
+    calls = [0]
+
+    def counted(query):
+        def wrapper(v, t):
+            calls[0] += 1
+            return query(v, t)
+
+        return wrapper
+
+    for s in apsp.per_source:
+        s.query = counted(s.query)
+    rng = random.Random(3)
+    for edge in online.instance.sigma:
+        online.insert(edge)
+        plain.insert(edge)
+        for _ in range(4):
+            i, j = rng.randrange(online.n), rng.randrange(online.n)
+            assert online.query(i, j) == plain.query(i, j)
+    assert calls[0] > 0
 
 
 # -- online arrival tracking --------------------------------------------------------

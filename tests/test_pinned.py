@@ -10,6 +10,7 @@ must say so and re-pin.
 
 import hashlib
 import random
+from dataclasses import replace
 
 from incsp.apsp import OnlineApsp, build_apsp
 from incsp.model import align_prediction, prepare_for_build
@@ -56,10 +57,30 @@ def test_online_replays_are_pinned():
         assert digest.hexdigest() == expected, kind
 
 
+def _per_source_trees(inst):
+    """build_apsp's result and the trees behind it: build_offline per source on its shared table."""
+    apsp = build_apsp(inst)
+    padded = prepare_for_build(inst)
+    return apsp, [build_offline(replace(padded, source=s), table=apsp.table) for s in range(padded.n)]
+
+
 def test_apsp_per_source_builds_are_pinned():
-    apsp = build_apsp(generate(n=12, m=128, W=8, seed=23, epsilon=0.5))
-    digest = hashlib.sha256("".join(_structure_digest(s) for s in apsp.per_source).encode())
+    # build_apsp keeps only each source's query tables, so the trees hashed
+    # here are rebuilt the way build_apsp builds them.
+    _, trees = _per_source_trees(generate(n=12, m=128, W=8, seed=23, epsilon=0.5))
+    digest = hashlib.sha256("".join(_structure_digest(s) for s in trees).encode())
     assert digest.hexdigest() == "be8797415e108f30b85a154997bfa44dfc4faf492cad80ffb164730397f76c59"
+
+
+def test_apsp_query_tables_equal_the_per_source_trees():
+    for seed in (23, 43, 47):
+        apsp, trees = _per_source_trees(generate(n=10, m=64, W=8, seed=seed, epsilon=0.5))
+        assert [s.entry_times for s in apsp.per_source] == [tree.entry_times for tree in trees]
+        for i, tree in enumerate(trees):
+            for j in range(apsp.n):
+                for t in range(apsp.m + 1):
+                    assert apsp.query(i, j, t) == tree.query(j, t)
+                    assert apsp.query_with_cost(i, j, t) == tree.query_with_cost(j, t)
 
 
 def _online_apsp_digest(inst, pred, rng) -> str:
