@@ -14,30 +14,33 @@ which keeps the total alive work near-linear.
 Anchors: time m stores exact distances over the full timeline, time 0 is
 implicit (0 at the source, unreachable elsewhere).  One end of every
 interval is the parent's midpoint and the other a shallower ancestor's or
-an anchor, so a vertex alive at a node is alive at every ancestor.  The
-solver therefore carries one estimate array down the recursion: entry v
-holds v's estimate at its deepest alive strict ancestor of the current
-node, or the time-m anchor when no ancestor has it alive.  A node writes
-its fresh estimates into the array before recursing and restores the old
-entries afterwards, so whether a vertex is alive at an interval end is a
-dict hit on the end node and a dead tail's estimate at mid is one array
-read.  estimate_at resolves the same value independently, by binary
-search over the ancestor chain.
+an anchor, so a vertex alive at a node is alive at every ancestor.  One
+walk settles the tree root first, both to build it (every node starts
+unbuilt, and an unbuilt node is simply solved) and to flush a repair.  It
+carries one estimate array down the recursion: entry v holds v's estimate
+at its deepest alive strict ancestor of the current node, or the time-m
+anchor when no ancestor has it alive.  A node writes its estimates into
+the array before recursing and restores the old entries afterwards, so
+whether a vertex is alive at an interval end is a dict hit on the end node
+and a dead tail's estimate at mid is one array read.  estimate_at resolves
+the same value independently, by binary search over the ancestor chain.
 
-Edge scans: a node scans the list of edges alive at its hi end.  The left
-child's list is the node's alive edges; the right child's is the node's
-inner list, the edges of its own list whose head is in its alive set,
-whatever their position.  Alive sets nest down the tree, so the right child
-loses nothing it could hold alive.  Every head, tail, weight and position
-is one lookup by edge id in the timeline's EdgeColumns (model.py), built
-once per timeline and shared by every structure on it.
+Edge scans: build and repair scan the same list at a node, the edges alive
+at its hi end (every edge when hi = m); a right child keeps only those whose
+head is in its parent's alive set.  Alive sets nest, so that loses nothing
+the child could hold alive, and equals the parent's inner list (its own list
+cut to its alive heads), which a node just solved hands down.  Every head,
+tail, weight and position is one lookup by edge id in the timeline's
+EdgeColumns (model.py), built once per timeline and shared by every
+structure on it.
 
-Query tables: while solving, each vertex records the earliest time its
-estimate entered each coarse grid cell.  After a fill-and-floor pass the
-rows are non-increasing, and a query binary-searches the row.  QueryTable
-holds the rows, the bucket table and the counters; OfflineStructure adds the
-tree, end maps and repair state.  Where nothing repairs a build (all-pairs
-keeps one per source), a QueryTable sharing its rows outlives the tree.
+Query tables: once the tree is built, each vertex's row records the
+earliest time its estimate lies in each coarse grid cell or a lower one,
+read from the time-m anchor and every node's alive estimates; rows are
+non-increasing, and a query binary-searches the row.  QueryTable holds the
+rows, the bucket table and the counters; OfflineStructure adds the tree,
+end maps and repair state.  Where nothing repairs a build (all-pairs keeps
+one per source), a QueryTable sharing its rows outlives the tree.
 
 Repair: the online engine changes the structure only through
 recompute_base, mark_prefixes, push_base_move, settle_chain and flush, and
@@ -52,14 +55,15 @@ marks the nodes whose prefix change touches their alive set, and an
 unpredicted arrival that moves base_m leaves a pending input diff at the
 root.  A diff holds the vertices whose entry in either end map moved and a
 stale map {v: previous above[v]} of the inherited estimates that moved.
-settle_chain(t) then walks the ancestor chain of time t root first, and
-each node that is marked or holds a diff is kept without a Dijkstra when
-none of that can reach its alive set or alive edges, or re-solved
-otherwise; either way it forwards how its own estimates and inherited
-values moved to both children's pending diffs, which accumulate until a
-later chain or flush() reaches them.  A node dirtied k times is thus solved
-at most once for all of them.  A node that is neither marked nor holds a
-diff equals a fresh build's once its ancestors do.
+settle_chain(t) then settles the ancestor chain of time t root first, and
+flush() settles the whole tree with the build's walk.  Each node that is
+marked or holds a diff is kept without a Dijkstra when none of that can
+reach its alive set or alive edges, or re-solved otherwise, scanning the
+same edge list a build would; either way it forwards how its own estimates
+and inherited values moved to both children's pending diffs, which
+accumulate until a later chain or flush reaches them.  A node dirtied k
+times is thus solved at most once for all of them.  A node that is neither
+marked nor holds a diff equals a fresh build's once its ancestors do.
 """
 
 from __future__ import annotations
@@ -87,6 +91,11 @@ def time_ancestors(t: int, m: int) -> list[int]:
         out.append(anchor)
         half //= 2
     return out
+
+
+def time_chain(t: int, m: int) -> list[int]:
+    """Midpoints of the node owning time t and its ancestors, root first (none for an anchor)."""
+    return time_ancestors(t, m) + [t] if 0 < t < m else []
 
 
 def tree_level(t: int, m: int) -> int:
@@ -158,9 +167,9 @@ class SolveCounters:
     (after a build they describe each node's single solve).
     rebuilds_per_node is kept for a run's counters only (per_node_rebuilds);
     after a build every entry would read 1, so a build's is None.  Marked
-    nodes a repair keeps without a Dijkstra count in nodes_skipped only.  scan_work sums the lengths of the edge
-    lists the solved nodes scanned, each right child's narrowed inner list
-    included.
+    nodes a repair keeps without a Dijkstra count in nodes_skipped only.
+    scan_work sums the lengths of the edge lists the solved nodes scanned,
+    the same narrowed lists in build and repair (see _edge_list).
     """
 
     def __init__(self, n: int, m: int, per_node_rebuilds: bool = False):
@@ -259,13 +268,12 @@ class QueryTable:
 class OfflineStructure(QueryTable):
     """Recursion tree, end maps and repair state over one source's query tables."""
 
-    def __init__(self, instance: ProblemInstance, table: BucketTable, with_entry_times: bool):
+    def __init__(self, instance: ProblemInstance, table: BucketTable):
         m = instance.m
         if m < 2 or m & (m - 1):
             raise ValueError("build requires a power-of-two timeline of length >= 2")
         n = instance.n
-        rows = [[m + 1] * len(table.coarse) for _ in range(n)] if with_entry_times else None
-        super().__init__(n, m, instance.source, table, rows, SolveCounters(n, m))
+        super().__init__(n, m, instance.source, table, None, SolveCounters(n, m))
         self.cols = instance.sigma.columns  # model.EdgeColumns, shared by every structure on this timeline
         self.nodes: list[RecursionNode | None] = [None] * m
         # The interval-end maps at times 0 and m live across repairs;
@@ -274,7 +282,6 @@ class OfflineStructure(QueryTable):
         self._est_m: dict[int, float] = dict.fromkeys(range(self.n), UNREACHABLE)
         self._est_0: dict[int, float] = dict.fromkeys(range(self.n), UNREACHABLE)
         self._est_0[self.source] = 0
-        self.unset = m + 1  # sentinel above every valid time, the rows' initial value
         # Repair state (see the module docstring): the midpoints whose prefix
         # change touched their stored alive set, and each node's pending diff.
         self.marked: set[int] = set()
@@ -325,41 +332,17 @@ class OfflineStructure(QueryTable):
 
     # -- solving -------------------------------------------------------------
 
-    def _solve(self, lo, hi, lo_est, hi_est, edges_hi, above, sink) -> None:
-        """Solve the node covering [lo, hi] and every node below it (a build).
+    def _solve_node(self, lo, hi, lo_est, hi_est, edges_hi, above, sink):
+        """Solve and store the node covering [lo, hi].
 
         lo_est and hi_est map the vertices alive at each interval end to
         their estimates there; a vertex missing from either is dead here.
-        above[v] is v's estimate at its deepest alive strict ancestor (the
-        time-m anchor when there is none), which is where a dead tail's
-        estimate at mid settles.  The node's estimates become the children's
-        inner ends and are written into above for the recursion, then
-        restored.  edges_hi lists the alive edges at time hi, or a part of
-        them that holds every edge into a vertex this node can hold alive;
-        alive edges here are a subset of it.  The left child scans this
-        node's alive edges and the right child its inner list (see
-        _solve_node).
-        """
-        mid = (lo + hi) // 2
-        node, inner = self._solve_node(lo, hi, lo_est, hi_est, edges_hi, above, sink)
-        if hi - lo <= 2:
-            return
-        estimates = node.alive_estimates
-        undo = [above[v] for v in estimates]
-        for v, value in estimates.items():
-            above[v] = value
-        self._solve(lo, mid, lo_est, estimates, node.alive_edges, above, sink)
-        self._solve(mid, hi, estimates, hi_est, inner, above, sink)
-        for v, value in zip(estimates, undo):
-            above[v] = value
-
-    def _solve_node(self, lo, hi, lo_est, hi_est, edges_hi, above, sink):
-        """Solve and store the node covering [lo, hi] (arguments as in _solve).
-
-        Returns the node and inner, the edges of edges_hi whose head is in
-        its alive set, whatever their position: the list the right child
-        scans.  Entry times are recorded when the structure keeps query
-        tables.
+        edges_hi is the node's edge list (see _edge_list); alive edges here
+        are a subset of it.  above[v] is v's estimate at its deepest alive
+        strict ancestor (the time-m anchor when there is none), which is
+        where a dead tail's estimate at mid settles.  Returns the node and
+        inner, the edges of edges_hi whose head is in its alive set,
+        whatever their position: the right child's edge list.
         """
         mid = (lo + hi) // 2
         cols = self.cols
@@ -399,18 +382,8 @@ class OfflineStructure(QueryTable):
             adj[src].append((v, length))
 
         dist = dijkstra(adj, src)
-        table = self.table
-        estimates: dict[int, float] = {}
-        rows = self.entry_times
-        for v in alive_set:
-            value = table.round_up_value(dist.get(v, UNREACHABLE))
-            estimates[v] = value
-            if rows is not None and value != UNREACHABLE:
-                row = rows[v]
-                cell = table.coarse_cell_of_value(value)
-                if mid < row[cell]:
-                    row[cell] = mid
-        node = RecursionNode(mid, estimates, alive_edges)
+        round_up = self.table.round_up_value
+        node = RecursionNode(mid, {v: round_up(dist.get(v, UNREACHABLE)) for v in alive_set}, alive_edges)
         self.nodes[mid] = node
         sink.node_solved(mid, len(edges_hi), len(alive_edges), alive_set)
         return node, inner
@@ -463,16 +436,23 @@ class OfflineStructure(QueryTable):
         return True
 
     def _ends(self, lo: int, hi: int):
-        """lo_est, hi_est and edges_hi of the node covering [lo, hi], read from its ancestors."""
+        """lo_est and hi_est of the node covering [lo, hi], read from its ancestors."""
         lo_est = self._est_0 if lo == 0 else self.nodes[lo].alive_estimates
-        if hi == self.m:
-            return lo_est, self._est_m, self.cols.order
-        node = self.nodes[hi]
-        return lo_est, node.alive_estimates, node.alive_edges
+        return lo_est, self._est_m if hi == self.m else self.nodes[hi].alive_estimates
 
-    def resolve_subtree(self, sink: SolveCounters) -> None:
-        """Solve every node of the tree (a build)."""
-        self._solve(0, self.m, self._est_0, self._est_m, self.cols.order, list(self.base_m), sink)
+    def _edge_list(self, lo: int, hi: int) -> list[int]:
+        """The edges the node covering [lo, hi] scans, read from its ancestors.
+
+        They are the alive edges at hi (every edge when hi = m); a right
+        child, whose parent is the node at lo, keeps only those whose head
+        the parent holds alive.  Alive sets nest, so this is the parent's
+        inner list, edge for edge and in the same order.
+        """
+        edges = self.cols.order if hi == self.m else self.nodes[hi].alive_edges
+        if lo and lo & -lo == hi - lo:  # lo is the parent's midpoint
+            head, alive = self.cols.head, self.nodes[lo].alive_estimates
+            edges = [eid for eid in edges if head[eid] in alive]
+        return edges
 
     # -- demand-driven repair --------------------------------------------------
 
@@ -506,33 +486,69 @@ class OfflineStructure(QueryTable):
         self._push(self.m // 2, _InputDiff(set(), set(old_base), old_base))
         self._base_moved.update(old_base)
 
-    def _settle(self, lo: int, hi: int, above: list[float], sink: SolveCounters) -> RecursionNode:
+    def _settle(self, lo: int, hi: int, above: list[float], sink: SolveCounters, edges=None):
         """Bring the node covering [lo, hi] up to date; its ancestors must be.
 
-        above holds the node's inherited estimates.  A node that is neither
-        marked nor holds a pending diff is returned as it is.  Otherwise it
-        is kept or re-solved, and how its estimates and inherited values
-        moved goes to both children's pending diffs.
+        above holds the node's inherited estimates and edges its edge list
+        (None: derive it if the node is solved).  A node not yet built is
+        solved.  A built node that is neither marked nor holds a pending
+        diff is returned as it is.  Otherwise it is kept or re-solved, and
+        how its estimates and inherited values moved goes to both
+        children's pending diffs.  Returns the node and, when it was just
+        solved, its inner list (else None).
         """
         mid = (lo + hi) // 2
         old = self.nodes[mid]
+        if old is None:
+            edges = self._edge_list(lo, hi) if edges is None else edges
+            return self._solve_node(lo, hi, *self._ends(lo, hi), edges, above, sink)
         diff = self.pending.pop(mid, _NO_DIFF)
         marked = mid in self.marked
         if diff is _NO_DIFF and not marked:
-            return old
+            return old, None
         self.marked.discard(mid)
-        lo_est, hi_est, edges_hi = self._ends(lo, hi)
+        lo_est, hi_est = self._ends(lo, hi)
         if not marked and self._node_kept(old, lo_est, hi_est, diff):
-            node, moved = old, set()
+            node, inner, moved = old, None, set()
             sink.nodes_skipped += 1
         else:
-            node = self._solve_node(lo, hi, lo_est, hi_est, edges_hi, above, sink)[0]
+            edges = self._edge_list(lo, hi) if edges is None else edges
+            node, inner = self._solve_node(lo, hi, lo_est, hi_est, edges, above, sink)
             moved = _moved_keys(node.alive_estimates, old.alive_estimates)
         if hi - lo > 2:
             stale = _children_stale(diff.stale, above, node.alive_estimates, old.alive_estimates, moved)
             self._push((lo + mid) // 2, _InputDiff(diff.lo, moved, stale))
             self._push((mid + hi) // 2, _InputDiff(moved, diff.hi, stale))
-        return node
+        return node, inner
+
+    def _walk(self, lo: int, hi: int, above: list[float], sink: SolveCounters, edges=None) -> None:
+        """Settle the node covering [lo, hi], then its subtree, root first.
+
+        above holds the node's inherited estimates; the node's own are
+        written into it for the recursion and restored afterwards.  A node
+        just solved hands its inner list to its right child as edges.
+        """
+        node, inner = self._settle(lo, hi, above, sink, edges)
+        if hi - lo <= 2:
+            return
+        mid = (lo + hi) // 2
+        estimates = node.alive_estimates
+        undo = [above[v] for v in estimates]
+        for v, value in estimates.items():
+            above[v] = value
+        self._walk(lo, mid, above, sink)
+        self._walk(mid, hi, above, sink, inner)
+        for v, value in zip(estimates, undo):
+            above[v] = value
+
+    def resolve_subtree(self, sink: SolveCounters) -> None:
+        """Build the tree: settle every node of the unbuilt tree, root first."""
+        self._walk(0, self.m, list(self.base_m), sink)
+
+    def flush(self, sink: SolveCounters) -> None:
+        """Settle every node, root first."""
+        if self.pending or self.marked:
+            self._walk(0, self.m, list(self.base_m), sink)
 
     def settle_chain(self, t: int, sink: SolveCounters) -> tuple[list[int], tuple[int, int] | None]:
         """Settle node t and its ancestors, root first, and bring est_t to time t.
@@ -553,7 +569,7 @@ class OfflineStructure(QueryTable):
         if self.est_t is None:
             self.est_t = list(self.base_m)
         est, path, touched = self.est_t, self._path, []
-        mids = time_ancestors(t, self.m) + [t] if 0 < t < self.m else []
+        mids = time_chain(t, self.m)
         keep = 0
         for (node, _), mid in zip(path, mids):
             if node.mid != mid or mid in self.pending or mid in self.marked:
@@ -568,11 +584,12 @@ class OfflineStructure(QueryTable):
             est[v] = self.base_m[v]
         touched.extend(self._base_moved)
         self._base_moved.clear()
-        top = None
+        top = edges = None
         for mid in mids[keep:]:
             span = mid & -mid
             solved = sink.nodes_solved
-            node = self._settle(mid - span, mid + span, est, sink)
+            node, inner = self._settle(mid - span, mid + span, est, sink, edges)
+            edges = inner if t > mid else None  # the next node is the right child
             if top is None and sink.nodes_solved > solved:
                 top = (mid - span, mid + span)
             alive = node.alive_estimates
@@ -581,24 +598,6 @@ class OfflineStructure(QueryTable):
                 est[v] = value
             touched.extend(alive)
         return touched, top
-
-    def flush(self, sink: SolveCounters) -> None:
-        """Settle every node, root first."""
-        if self.pending or self.marked:
-            self._flush(0, self.m, list(self.base_m), sink)
-
-    def _flush(self, lo: int, hi: int, above: list[float], sink: SolveCounters) -> None:
-        estimates = self._settle(lo, hi, above, sink).alive_estimates
-        if hi - lo <= 2:
-            return
-        mid = (lo + hi) // 2
-        undo = [above[v] for v in estimates]
-        for v, value in estimates.items():
-            above[v] = value
-        self._flush(lo, mid, above, sink)
-        self._flush(mid, hi, above, sink)
-        for v, value in zip(estimates, undo):
-            above[v] = value
 
     def recompute_base(self) -> dict[int, float]:
         """Refresh the exact distances at time m; map each moved entry to its old value."""
@@ -617,26 +616,31 @@ class OfflineStructure(QueryTable):
 
     # -- query tables ----------------------------------------------------------
 
-    def _record_anchor_entries(self) -> None:
-        rows = self.entry_times
-        table = self.table
-        rows[self.source][0] = 0  # estimate 0 before anything arrives
+    def _entry_times_from_tree(self) -> list[list[int]]:
+        """Entry rows read from the finished tree.
+
+        Row v holds, for each coarse cell, the earliest time at which v's
+        estimate lies in that cell or a lower one (m + 1 when it never
+        does), so each row is non-increasing.  Every value is a genuine
+        witness time: a node's midpoint, the time-m anchor, or 0 at the
+        source.
+        """
+        m, cell_of = self.m, self.table.coarse_cell_of_value
+        rows = [[m + 1] * len(self.table.coarse) for _ in range(self.n)]
+        # Latest time first, so each cell ends with its earliest witness.
         for v, value in enumerate(self.base_m):
             if value != UNREACHABLE:
-                cell = table.coarse_cell_of_value(value)
-                if self.m < rows[v][cell]:
-                    rows[v][cell] = self.m
-
-    def _finalize_entry_times(self) -> None:
-        # One ascending pass both fills gaps from the last recorded entry and
-        # floors the row into non-increasing shape; every surviving value is a
-        # genuine witness time for its cell or a smaller one.
-        for row in self.entry_times:
-            carry = self.unset
+                rows[v][cell_of(value)] = m
+        for mid in range(m - 1, 0, -1):
+            for v, value in self.nodes[mid].alive_estimates.items():
+                if value != UNREACHABLE:
+                    rows[v][cell_of(value)] = mid
+        rows[self.source][0] = 0  # estimate 0 before anything arrives
+        for row in rows:  # fill and floor: each cell takes the least time at or below it
+            carry = m + 1
             for i, value in enumerate(row):
-                if value < carry:
-                    carry = value
-                row[i] = carry
+                carry = row[i] = value if value < carry else carry
+        return rows
 
 
 def build_offline(
@@ -658,13 +662,11 @@ def build_offline(
         or table.fine[-1] < instance.n * instance.W
     ):
         raise ValueError("bucket table does not match the instance")
-    structure = OfflineStructure(instance, table, with_entry_times)
+    structure = OfflineStructure(instance, table)
     structure.recompute_base()
-    if with_entry_times:
-        structure._record_anchor_entries()
     structure.resolve_subtree(structure.stats)
     if with_entry_times:
-        structure._finalize_entry_times()
+        structure.entry_times = structure._entry_times_from_tree()
     return structure
 
 

@@ -44,7 +44,7 @@ from .offline import (
     SolveCounters,
     build_offline,
     structures_equal,
-    time_ancestors,
+    time_chain,
 )
 
 
@@ -249,9 +249,7 @@ class OnlineEngine:
 
         No flush: these are the nodes every arrival settles.
         """
-        t, m = self.t, self.m
-        mids = time_ancestors(t, m) + [t] if 0 < t < m else []
-        return structures_equal(self._structure, self.fresh_rebuild(), mids)
+        return structures_equal(self._structure, self.fresh_rebuild(), time_chain(self.t, self.m))
 
 
 def start_online(instance: ProblemInstance, prediction_edges: list[EdgeInsert] | None = None) -> OnlineEngine:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -239,6 +240,65 @@ def test_apsp_online_steps(capsys, t1_file, t1_pred_file, tmp_path):
     assert 3 <= answers[(0, 2)] <= 6
     for step in doc["steps"]:
         assert step["patch_vertices_max"] <= 2 * 4 + 2
+
+
+# -- pinned documents --------------------------------------------------------------
+#
+# A small generated instance with a window_shuffle(8) prediction.  Each
+# document is hashed as JSON with sorted keys and without its timings.  The
+# online digest also leaves out counters.scan_work, which a change to the
+# edge lists a repair scans may lower; it is capped at its pinned value.
+
+PINNED_DOCS = {
+    "offline": "5281c08899f6375b4f4bab8039bbbcc38cc42e5b5c56a22f82741d0a87541547",
+    "apsp-offline": "6a45a174ec4297d2ba721d4eb6df64460235a587cacb9316a06d2b00ed52b7bf",
+    "apsp-online": "5bdb9112430299592369e4c77e64eb8ccc94bf19ab51e4a54f26b5663ae5a766",
+    "online": "4300fdf37e03548689749fc01ae89667eacc24591efcc86c813ae26273e7c8d1",
+}
+PINNED_ONLINE_SCAN_WORK = 11569
+
+
+@pytest.fixture
+def pinned_case(capsys, write_instance, tmp_path):
+    _, text = run(capsys, "gen", "--n", "24", "--m", "200", "--W", "8", "--seed", "5")
+    inst = write_instance(text)
+    pred = tmp_path / "pred.edges"
+    run_json(
+        capsys, "perturb", "--input", inst, "--kind", "window_shuffle",
+        "--k", "8", "--seed", "2", "--out", str(pred),
+    )
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("".join(f"{v} {t}\n" for t in (0, 37, 100, 129, 200) for v in range(24)))
+    ends = tmp_path / "ends.txt"
+    ends.write_text("".join(f"{i} {j}\n" for i in range(0, 24, 7) for j in range(24)))
+    triples = tmp_path / "triples.txt"
+    triples.write_text("".join(f"{i} {j} {t}\n" for t in (60, 200) for i in range(0, 24, 5) for j in range(24)))
+    return inst, str(pred), str(pairs), str(ends), str(triples)
+
+
+def _digest(doc: dict) -> str:
+    return hashlib.sha256(without_timings(doc).encode()).hexdigest()
+
+
+def test_cli_documents_are_pinned(capsys, pinned_case):
+    inst, pred, pairs, ends, triples = pinned_case
+    docs = [
+        run_json(capsys, "offline", "--input", inst, "--queries", pairs),
+        run_json(capsys, "apsp", "--input", inst, "--queries", triples),
+        run_json(capsys, "apsp", "--input", inst, "--pred", pred, "--queries", ends),
+        run_json(capsys, "online", "--input", inst, "--pred", pred, "--trace"),
+    ]
+    assert [code for code, _ in docs] == [0, 0, 0, 0]
+    offline, apsp_offline, apsp_online, online = (doc for _, doc in docs)
+    scan_work = online["counters"].pop("scan_work")
+    digests = {
+        "offline": _digest(offline),
+        "apsp-offline": _digest(apsp_offline),
+        "apsp-online": _digest(apsp_online),
+        "online": _digest(online),
+    }
+    assert digests == PINNED_DOCS
+    assert scan_work <= PINNED_ONLINE_SCAN_WORK
 
 
 # -- metrics and verify ------------------------------------------------------------

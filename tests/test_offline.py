@@ -133,8 +133,8 @@ def test_corrupted_entry_table_is_detected(t1_padded):
     rows = exact_distance_table(t1_padded)
     # claim vertex 2 reached its final bucket at time 0
     cell = structure.table.coarse_cell_of_value(structure.query(2, 4))
-    structure.entry_times[2][cell] = 0
-    structure._finalize_entry_times()
+    row = structure.entry_times[2]
+    row[cell:] = [0] * (len(row) - cell)  # floored: every coarser cell too
     violations = verify_offline(structure, rows, t1_padded.epsilon)
     assert violations
     assert all(v["v"] == 2 for v in violations)
@@ -222,6 +222,22 @@ def test_settle_chain_tracks_estimates_at_any_time_order(random_case):
         assert s.est_t == [s.estimate_at(v, t) for v in range(s.n)]
         assert {v for v in range(s.n) if s.est_t[v] != before[v]} <= set(touched)
         before = list(s.est_t)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_flush_of_every_node_scans_what_the_build_scanned(seed):
+    # A flush that re-solves every node repeats the build: each node scans
+    # the same edge list, a right child's narrowed to its parent's alive set.
+    padded = prepare_for_build(generate(n=40, m=256, W=10, seed=seed, epsilon=0.5))
+    s = build_offline(padded, with_entry_times=False)
+    m = s.m
+    s.marked.update(range(1, m))
+    sink = SolveCounters(s.n, m)
+    s.flush(sink)
+    assert sink.nodes_solved == m - 1
+    assert sink.scan_work == s.stats.scan_work
+    assert sink.alive_edges_per_node == s.stats.alive_edges_per_node
+    assert structures_equal(s, build_offline(padded, with_entry_times=False))
 
 
 def test_node_estimates_sandwich_by_level(random_case):
