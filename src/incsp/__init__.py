@@ -34,7 +34,6 @@ from .model import (
 from .offline import OfflineStructure, build_offline, structures_equal
 from .online import OnlineEngine, start_online
 from .oracle import (
-    brute_edit_distance,
     exact_apsp_table,
     exact_distance_table,
     exact_rows,
@@ -59,7 +58,6 @@ __all__ = [
     "ProblemInstance",
     "UNREACHABLE",
     "align_prediction",
-    "brute_edit_distance",
     "build_apsp",
     "build_offline",
     "compute_profile",

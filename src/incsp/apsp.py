@@ -150,7 +150,9 @@ class OnlineApsp:
         return [self.prediction[p - 1] for p in self._arrived_positions[i:]]
 
     def _lookup(self, u: int, v: int) -> float:
-        row = self._lookups.setdefault(u, {})
+        row = self._lookups.get(u)
+        if row is None:
+            row = self._lookups[u] = {}
         w = row.get(v)
         if w is None:
             w = row[v] = self.apsp.per_source[u].query(v, self.frontier)

@@ -36,11 +36,13 @@ structure on it.
 
 Query tables: once the tree is built, each vertex's row records the
 earliest time its estimate lies in each coarse grid cell or a lower one,
-read from the time-m anchor and every node's alive estimates; rows are
-non-increasing, and a query binary-searches the row.  QueryTable holds the
-rows, the bucket table and the counters; OfflineStructure adds the tree,
-end maps and repair state.  Where nothing repairs a build (all-pairs keeps
-one per source), a QueryTable sharing its rows outlives the tree.
+read from the time-m anchor and every node's alive estimates.  A row is
+stored from the coarsest cell to the finest, so it is non-decreasing, and
+a query is one plain bisect: the number of entries at or below t indexes
+the answer.  QueryTable holds the rows, the bucket table and the counters;
+OfflineStructure adds the tree, end maps and repair state.  Where nothing
+repairs a build (all-pairs keeps one per source), a QueryTable sharing its
+rows outlives the tree.
 
 Repair: the online engine changes the structure only through
 recompute_base, mark_prefixes, push_base_move, settle_chain and flush, and
@@ -69,11 +71,10 @@ marked nor holds a diff equals a fresh build's once its ancestors do.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import chain
-from operator import neg
 from typing import NamedTuple
 
 from .bucketing import BucketTable, derive_internal_epsilon, make_table
@@ -221,12 +222,16 @@ def dijkstra(adj, source: int, target: int | None = None) -> dict[int, float]:
 class QueryTable:
     """One source's query tables without the tree: entry rows (None when not
     kept), the BucketTable their cells index and the build's SolveCounters.
+    Row v lists v's entry times from the coarsest cell to the finest, so
+    _answers[c], the answer when c of its entries are at or below t, is
+    UNREACHABLE for c = 0 and the c-th coarse value from the top otherwise.
     No slots, so a caller may shadow query on an instance (the bench does).
     """
 
     def __init__(self, n, m, source, table: BucketTable, entry_times: list[list[int]] | None, stats):
         self.n, self.m, self.source = n, m, source
         self.table, self.entry_times, self.stats = table, entry_times, stats
+        self._answers = (UNREACHABLE, *reversed(table.coarse))
 
     def _entry_row(self, v: int, t: int) -> list[int] | None:
         """v's entry-time row after argument checks; None for the source."""
@@ -239,24 +244,30 @@ class QueryTable:
         return None if v == self.source else self.entry_times[v]
 
     def query(self, v: int, t: int) -> float:
-        """Approximate distance at time t: a bisect over v's non-increasing row."""
-        row = self._entry_row(v, t)
-        if row is None:
+        """Approximate distance at time t: one bisect over v's non-decreasing row."""
+        rows = self.entry_times
+        if rows is None or not (0 <= v < self.n and 0 <= t <= self.m):
+            self._entry_row(v, t)  # raises the argument's error
+        if v == self.source:
             return 0.0
-        lo = bisect_left(row, -t, key=neg)
-        return UNREACHABLE if lo == len(row) else self.table.coarse[lo]
+        return self._answers[bisect_right(rows[v], t)]
 
     def query_with_cost(self, v: int, t: int) -> tuple[float, int]:
-        """query(v, t) plus the comparison count of a counted binary search."""
+        """query(v, t) plus the comparison count of a counted binary search.
+
+        The search runs over the row from the finest cell down (index
+        top - mid), the order the comparison counts were defined in.
+        """
         row = self._entry_row(v, t)
         if row is None:
             return 0.0, 0
+        top = len(row) - 1
         lo, hi = 0, len(row)
         comparisons = 0
         while lo < hi:
             mid = (lo + hi) // 2
             comparisons += 1
-            if row[mid] <= t:
+            if row[top - mid] <= t:
                 hi = mid
             else:
                 lo = mid + 1
@@ -621,9 +632,11 @@ class OfflineStructure(QueryTable):
 
         Row v holds, for each coarse cell, the earliest time at which v's
         estimate lies in that cell or a lower one (m + 1 when it never
-        does), so each row is non-increasing.  Every value is a genuine
-        witness time: a node's midpoint, the time-m anchor, or 0 at the
-        source.
+        does).  It is filled finest cell first, where those times are
+        non-increasing, then reversed, so the stored row runs from the
+        coarsest cell to the finest and is non-decreasing.  Every value is
+        a genuine witness time: a node's midpoint, the time-m anchor, or 0
+        at the source.
         """
         m, cell_of = self.m, self.table.coarse_cell_of_value
         rows = [[m + 1] * len(self.table.coarse) for _ in range(self.n)]
@@ -640,6 +653,7 @@ class OfflineStructure(QueryTable):
             carry = m + 1
             for i, value in enumerate(row):
                 carry = row[i] = value if value < carry else carry
+            row.reverse()
         return rows
 
 

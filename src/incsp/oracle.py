@@ -4,8 +4,7 @@ Everything here recomputes answers from first principles, separately from
 the structures under test.  Per-prefix distances stream from an insert-only
 change-propagation oracle (Ramalingam & Reps, J. Algorithms 1996), which
 keeps one O(n) distance row; a standalone Dijkstra and Bellman-Ford
-recompute sampled prefixes from scratch to cross-check it.  Edit distance
-comes from the classic quadratic DP.
+recompute sampled prefixes from scratch to cross-check it.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from heapq import heappop, heappush
 
-from .metrics import _ids, compute_profile, min_threshold_objective
+from .metrics import compute_profile, min_threshold_objective
 from .model import UNREACHABLE, EdgeInsert, ProblemInstance, align_prediction, prepare_for_build
 from .online import OnlineEngine
 
@@ -108,21 +107,6 @@ def oracle_self_check(instance: ProblemInstance, stride: int = 1) -> bool:
             if not row == dijkstra_exact(prefix, n, source) == bellman_ford(prefix, n, source):
                 return False
     return True
-
-
-def brute_edit_distance(sigma, sigma_hat) -> int:
-    """Insert/delete-only edit distance by the classic DP; quadratic, for small inputs."""
-    a, b = _ids(sigma), _ids(sigma_hat)
-    prev = list(range(len(b) + 1))
-    for i, x in enumerate(a, start=1):
-        cur = [i] + [0] * len(b)
-        for j, y in enumerate(b, start=1):
-            if x == y:
-                cur[j] = prev[j - 1]
-            else:
-                cur[j] = 1 + min(prev[j], cur[j - 1])
-        prev = cur
-    return prev[len(b)]
 
 
 # Relative headroom on the upper bound comparisons below: the structures

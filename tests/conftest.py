@@ -28,6 +28,21 @@ T1_ORACLE_ROWS = [
 ]
 
 
+def brute_edit_distance(sigma, sigma_hat) -> int:
+    """Insert/delete-only edit distance by the classic DP; quadratic, for small inputs."""
+    a, b = [e.edge_id for e in sigma], [e.edge_id for e in sigma_hat]
+    prev = list(range(len(b) + 1))
+    for i, x in enumerate(a, start=1):
+        cur = [i] + [0] * len(b)
+        for j, y in enumerate(b, start=1):
+            if x == y:
+                cur[j] = prev[j - 1]
+            else:
+                cur[j] = 1 + min(prev[j], cur[j - 1])
+        prev = cur
+    return prev[len(b)]
+
+
 def assert_alive_sets_nested(structure):
     """Every internal node's alive vertices are alive at its parent too.
 

@@ -12,7 +12,7 @@ from incsp.metrics import (
     per_edge_displacement,
 )
 from incsp.model import EdgeInsert, InsertSequence
-from incsp.oracle import brute_edit_distance
+from tests.conftest import brute_edit_distance
 
 
 def seq(ids):

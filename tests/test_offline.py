@@ -107,11 +107,20 @@ def test_t1_entry_times_for_late_vertex(t1_structure):
     assert t1_structure.query(2, 2) == t1_structure.query(2, 3)
 
 
-def test_query_validates_arguments(t1_structure):
-    with pytest.raises(ValueError):
-        t1_structure.query(0, 5)
-    with pytest.raises(ValueError):
-        t1_structure.query(3, 0)
+def test_query_validates_arguments(t1_structure, t1_padded):
+    s = t1_structure
+    cases = [(v, t, "vertex id out of range") for v in (-1, s.n) for t in (-1, 0, s.m + 1)]
+    # the source too: its answer of 0 comes after the range check
+    cases += [(v, t, "time out of range") for v in (s.source, 1) for t in (-1, s.m + 1)]
+    for v, t, message in cases:
+        for query in (s.query, s.query_with_cost):
+            with pytest.raises(ValueError, match=message):
+                query(v, t)
+    bare = build_offline(t1_padded, with_entry_times=False)
+    for v, t in [(1, 2), (bare.source, 0), (-1, 0), (bare.n, 0), (0, -1), (0, bare.m + 1)]:
+        for query in (bare.query, bare.query_with_cost):
+            with pytest.raises(ValueError, match="structure was built without query tables"):
+                query(v, t)
 
 
 def test_query_requires_entry_times(t1_padded):
@@ -133,8 +142,9 @@ def test_corrupted_entry_table_is_detected(t1_padded):
     rows = exact_distance_table(t1_padded)
     # claim vertex 2 reached its final bucket at time 0
     cell = structure.table.coarse_cell_of_value(structure.query(2, 4))
-    row = structure.entry_times[2]
-    row[cell:] = [0] * (len(row) - cell)  # floored: every coarser cell too
+    row = structure.entry_times[2]  # coarsest cell first
+    top = len(row) - 1
+    row[: top - cell + 1] = [0] * (top - cell + 1)  # floored: every coarser cell too
     violations = verify_offline(structure, rows, t1_padded.epsilon)
     assert violations
     assert all(v["v"] == 2 for v in violations)
@@ -268,11 +278,11 @@ def test_resolved_estimates_sandwich_everywhere(random_case):
                 assert exact <= est <= exact * band
 
 
-def test_entry_rows_non_increasing(random_case):
+def test_entry_rows_non_decreasing(random_case):
     _, s, _ = random_case
     for row in s.entry_times:
         for i in range(1, len(row)):
-            assert row[i] <= row[i - 1]
+            assert row[i] >= row[i - 1]
 
 
 def test_query_sandwich_random(random_case):
@@ -292,15 +302,19 @@ def test_query_cost_bound(random_case):
     assert worst <= bound
 
 
+# (12, 64, 42) is the random_case instance.
 @pytest.mark.parametrize("n, m, seed", [(12, 64, 42), (20, 16, 5), (9, 128, 13)])
 def test_bisect_query_matches_counted_query(n, m, seed):
     padded = prepare_for_build(generate(n=n, m=m, W=10, seed=seed, epsilon=0.5))
     s = build_offline(padded)
+    bound = 2 * math.ceil(math.log2(s.table.k_coarse + 1)) + 4
     unreachable = 0
     for v in range(s.n):
         for t in range(s.m + 1):
             got = s.query(v, t)
-            assert repr(got) == repr(s.query_with_cost(v, t)[0])
+            counted, cost = s.query_with_cost(v, t)
+            assert repr(got) == repr(counted)
+            assert cost <= bound
             unreachable += got == UNREACHABLE
     assert s.query(s.source, 0) == s.query(s.source, s.m) == 0.0
     # t = 0 leaves every vertex but the source unreachable; the n=20, m=16

@@ -7,7 +7,6 @@ from incsp.offline import build_offline
 from incsp.oracle import (
     _sandwich_violation,
     bellman_ford,
-    brute_edit_distance,
     dijkstra_exact,
     exact_apsp_table,
     exact_distance_table,
@@ -17,7 +16,7 @@ from incsp.oracle import (
     verify_online_run,
 )
 from incsp.workload import generate
-from tests.conftest import INF, T1_ORACLE_ROWS
+from tests.conftest import INF, T1_ORACLE_ROWS, brute_edit_distance
 
 
 # -- exact solvers -----------------------------------------------------------------
