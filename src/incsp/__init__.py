@@ -34,10 +34,8 @@ from .model import (
 from .offline import OfflineStructure, build_offline, structures_equal
 from .online import OnlineEngine, start_online
 from .oracle import (
-    exact_apsp_table,
     exact_distance_table,
     exact_rows,
-    verify_apsp_offline,
     verify_offline,
     verify_online_run,
 )
@@ -63,7 +61,6 @@ __all__ = [
     "compute_profile",
     "derive_internal_epsilon",
     "edit_distance",
-    "exact_apsp_table",
     "exact_distance_table",
     "exact_rows",
     "generate",
@@ -80,7 +77,6 @@ __all__ = [
     "serialize_prediction",
     "start_online",
     "structures_equal",
-    "verify_apsp_offline",
     "verify_offline",
     "verify_online_run",
     "__version__",

@@ -11,15 +11,15 @@ whose size is bounded by the count of arrived-but-not-yet-frontier-covered
 edges (at most the maximum displacement of the permutation).
 
 The per-source structures never change after the build, so an online patch
-lookup depends only on (u, v, frontier).  `OnlineApsp` keeps two caches, both
-valid for one frontier and dropped together when an arrival advances it:
-the lookups made at that frontier (at most n(n-1)), and the patch graph, the
-min-weight adjacency among the pending edges' endpoints P (at most
-|P|(|P|-1) entries, |P| <= 2 * pending edges).  The first query after a
-frontier advance builds the patch graph; an arrival that leaves the
-frontier in place adds its endpoints' rows and columns and lowers its own
-entry.  A query (i, j) adds only i's out-row and the edges into j, so it
-costs O(|P|) lookups plus a Dijkstra that stops at j.
+lookup depends only on (u, v, frontier) and is one per-source query.
+`OnlineApsp` caches one thing, the patch graph: the min-weight adjacency
+among the pending edges' endpoints P (at most |P|(|P|-1) entries,
+|P| <= 2 * pending edges), valid for one frontier and dropped when an
+arrival advances it.  The first query after a frontier advance builds it;
+an arrival that leaves the frontier in place adds its endpoints' rows and
+columns and lowers its own entry.  A query (i, j) adds only i's out-row
+and the edges into j, so it costs O(|P|) lookups plus a Dijkstra that
+stops at j.
 """
 
 from __future__ import annotations
@@ -77,14 +77,12 @@ class OnlineApsp:
     The prediction's edges are checked like arrivals, and it must hold
     exactly the true edge ids, each with its true triple.
 
-    Two caches make repeated queries cheap, both dropped when an arrival
-    advances the frontier.  `_lookups[u][v]` holds
-    `apsp.per_source[u].query(v, frontier)`: at most n(n-1) entries.
-    `_graph[u][v]` holds the patch graph, min(lookup, pending u->v weights)
-    for u != v in P, the pending edges' endpoints, where finite: built by
-    the first query after a frontier advance and extended in place by an
-    arrival that leaves the frontier where it was.  A rejected arrival
-    touches neither.
+    One cache makes repeated queries cheap: `_graph[u][v]` holds the patch
+    graph, min(`apsp.per_source[u].query(v, frontier)`, pending u->v
+    weights) for u != v in P, the pending edges' endpoints, where finite.
+    The first query after a frontier advance builds it, an arrival that
+    leaves the frontier where it was extends it in place, and one that
+    advances the frontier drops it.  A rejected arrival leaves it alone.
     """
 
     def __init__(self, instance: ProblemInstance, prediction_edges: list[EdgeInsert]):
@@ -105,7 +103,6 @@ class OnlineApsp:
         self.frontier_advances = 0
         self.insert_comparisons = 0
         self.last_patch_vertices = 0
-        self._lookups: dict[int, dict[int, float]] = {}
         self._graph: dict[int, dict[int, float]] | None = None
 
     def insert(self, edge: EdgeInsert) -> None:
@@ -138,7 +135,6 @@ class OnlineApsp:
             self.frontier += 1
             self.frontier_advances += 1
         if self.frontier != old_frontier:
-            self._lookups = {}
             self._graph = None
         elif self._graph is not None:
             self._add_pending(edge)
@@ -149,24 +145,16 @@ class OnlineApsp:
         i = bisect_right(self._arrived_positions, self.frontier)
         return [self.prediction[p - 1] for p in self._arrived_positions[i:]]
 
-    def _lookup(self, u: int, v: int) -> float:
-        row = self._lookups.get(u)
-        if row is None:
-            row = self._lookups[u] = {}
-        w = row.get(v)
-        if w is None:
-            w = row[v] = self.apsp.per_source[u].query(v, self.frontier)
-        return w
-
     def _add_pending(self, e: EdgeInsert) -> None:
         """Grow the patch graph by one pending edge: new endpoint rows and columns, then its weight."""
-        graph = self._graph
+        graph, tables, f = self._graph, self.apsp.per_source, self.frontier
         for x in (e.tail, e.head):
             if x not in graph:
                 for u, row in graph.items():
-                    if (w := self._lookup(u, x)) != UNREACHABLE:
+                    if (w := tables[u].query(x, f)) != UNREACHABLE:
                         row[x] = w
-                graph[x] = {v: w for v in graph if (w := self._lookup(x, v)) != UNREACHABLE}
+                out = tables[x]
+                graph[x] = {v: w for v in graph if (w := out.query(v, f)) != UNREACHABLE}
         if e.tail != e.head and e.weight < graph[e.tail].get(e.head, UNREACHABLE):
             graph[e.tail][e.head] = e.weight
 
@@ -181,16 +169,17 @@ class OnlineApsp:
             self._graph = {}
             for e in self.pending_edges():
                 self._add_pending(e)
-        graph = self._graph
+        graph, tables, f = self._graph, self.apsp.per_source, self.frontier
         self.last_patch_vertices = len(graph) + (i not in graph) + (j not in graph)
         # Outside P, only i's out-row and the edges into j are added: j's
         # out-edges and the edges into i cannot lower dist[j].
         adj = {u: row.items() for u, row in graph.items()}
         if i not in graph:
             heads = graph if j in graph else (*graph, j)
-            adj[i] = [(v, w) for v in heads if (w := self._lookup(i, v)) != UNREACHABLE]
+            out = tables[i]
+            adj[i] = [(v, w) for v in heads if (w := out.query(v, f)) != UNREACHABLE]
         if j not in graph:
             for u in graph:
-                if (w := self._lookup(u, j)) != UNREACHABLE:
+                if (w := tables[u].query(j, f)) != UNREACHABLE:
                     adj[u] = [*adj[u], (j, w)]
         return dijkstra(adj, i, j).get(j, UNREACHABLE)

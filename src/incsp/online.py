@@ -128,7 +128,7 @@ class OnlineEngine:
     which the corrections rewrite.
     """
 
-    def __init__(self, instance: ProblemInstance, prediction, table=None):
+    def __init__(self, instance: ProblemInstance, prediction):
         self.instance = instance
         self.m = instance.m
         self.n = instance.n
@@ -138,7 +138,7 @@ class OnlineEngine:
             raise ValueError("prediction length must match the padded timeline")
         check_prediction(self.timeline, instance)
         pred_instance = replace(instance, sigma=self.timeline)
-        self._structure = build_offline(pred_instance, table=table, with_entry_times=False)
+        self._structure = build_offline(pred_instance, with_entry_times=False)
         self.t = 0
         self.D: list[float] = [UNREACHABLE] * self.n
         self.D[self.source] = 0.0

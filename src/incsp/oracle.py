@@ -56,9 +56,9 @@ def bellman_ford(edges: list[EdgeInsert], n: int, source: int) -> list[float]:
     return dist
 
 
-def exact_rows(instance: ProblemInstance, source: int | None = None) -> Iterator[list[float]]:
-    """Yield the exact distance row from source (default: the instance's)
-    after each prefix t = 0..m; every row is a fresh list.
+def exact_rows(instance: ProblemInstance) -> Iterator[list[float]]:
+    """Yield the exact distance row from the instance's source after each
+    prefix t = 0..m; every row is a fresh list.
 
     An inserted edge u->v can only lower distances reachable from v, so a
     Dijkstra seeded at v with its improved distance relaxes outward and
@@ -67,7 +67,7 @@ def exact_rows(instance: ProblemInstance, source: int | None = None) -> Iterator
     n = instance.n
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     dist: list[float] = [UNREACHABLE] * n
-    dist[instance.source if source is None else source] = 0
+    dist[instance.source] = 0
     yield dist[:]
     for e in instance.sigma:
         adj[e.tail].append((e.head, e.weight))
@@ -90,11 +90,6 @@ def exact_rows(instance: ProblemInstance, source: int | None = None) -> Iterator
 def exact_distance_table(instance: ProblemInstance) -> list[list[float]]:
     """rows[t][v] = exact distance from the source in the first-t-edges graph."""
     return list(exact_rows(instance))
-
-
-def exact_apsp_table(instance: ProblemInstance) -> list[list[list[float]]]:
-    """rows[t][s][v] = exact distance from s in the first-t-edges graph."""
-    return [list(per_source) for per_source in zip(*(exact_rows(instance, s) for s in range(instance.n)))]
 
 
 def oracle_self_check(instance: ProblemInstance, stride: int = 1) -> bool:
@@ -216,26 +211,3 @@ def verify_online_run(
         "fresh_build_checked": check_fresh,
     }
 
-
-def verify_apsp_offline(structure, rows: list[list[list[float]]], epsilon: float) -> list[dict]:
-    """Check every (i, j, t) against the exact all-pairs table."""
-    violations = []
-    for t in range(structure.m + 1):
-        for i in range(structure.n):
-            row = rows[t][i]
-            for j in range(structure.n):
-                answer = structure.query(i, j, t)
-                problem = _sandwich_violation(row[j], answer, epsilon)
-                if problem:
-                    violations.append(
-                        {
-                            "kind": "apsp",
-                            "i": i,
-                            "j": j,
-                            "t": t,
-                            "exact": row[j],
-                            "answer": answer,
-                            "problem": problem,
-                        }
-                    )
-    return violations

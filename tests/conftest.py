@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import pytest
 
 from incsp.model import align_prediction, parse_instance, prepare_for_build
 from incsp.offline import time_ancestors
+from incsp.oracle import _sandwich_violation, exact_rows
 
 # Worked micro-instance used across the suite: 3 vertices, 4 inserts,
 # W=8, epsilon=1.0, source 0.  Exact distances per prefix are frozen in
@@ -41,6 +44,35 @@ def brute_edit_distance(sigma, sigma_hat) -> int:
                 cur[j] = 1 + min(prev[j], cur[j - 1])
         prev = cur
     return prev[len(b)]
+
+
+def exact_apsp_table(instance) -> list[list[list[float]]]:
+    """rows[t][s][v] = exact distance from s in the first-t-edges graph."""
+    return [list(per_source) for per_source in zip(*(exact_rows(replace(instance, source=s)) for s in range(instance.n)))]
+
+
+def verify_apsp_offline(structure, rows: list[list[list[float]]], epsilon: float) -> list[dict]:
+    """Check every (i, j, t) against the exact all-pairs table."""
+    violations = []
+    for t in range(structure.m + 1):
+        for i in range(structure.n):
+            row = rows[t][i]
+            for j in range(structure.n):
+                answer = structure.query(i, j, t)
+                problem = _sandwich_violation(row[j], answer, epsilon)
+                if problem:
+                    violations.append(
+                        {
+                            "kind": "apsp",
+                            "i": i,
+                            "j": j,
+                            "t": t,
+                            "exact": row[j],
+                            "answer": answer,
+                            "problem": problem,
+                        }
+                    )
+    return violations
 
 
 def assert_alive_sets_nested(structure):

@@ -5,6 +5,9 @@ import weakref
 from dataclasses import replace
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 import incsp.apsp
 from incsp.apsp import OnlineApsp, build_apsp
@@ -12,9 +15,9 @@ from incsp.bucketing import derive_internal_epsilon, make_table
 from incsp.metrics import compute_profile
 from incsp.model import UNREACHABLE, EdgeInsert, parse_instance, prepare_for_build
 from incsp.offline import build_offline, dijkstra
-from incsp.oracle import exact_apsp_table, verify_apsp_offline
+from incsp.oracle import dijkstra_exact
 from incsp.workload import PerturbationSpec, generate, perturb
-from tests.conftest import W4_TEXT
+from tests.conftest import W4_TEXT, exact_apsp_table, verify_apsp_offline
 
 
 # -- offline all-pairs -------------------------------------------------------------
@@ -303,7 +306,7 @@ def test_online_insert_rejects_bad_edge_without_mutation(tail, head, weight):
     assert 5 <= online.query(0, 2) <= 5 * (1 + inst.epsilon)
 
 
-def _unmemoised_query(online, i, j):
+def _rebuilt_patch_query(online, i, j):
     """The patched query rebuilt from scratch: (answer, patch vertex count)."""
     if i == j:
         return 0.0, 1
@@ -348,7 +351,7 @@ _PATCH_FAMILIES = [pytest.param("window_shuffle", seed, id=str(seed)) for seed i
 
 
 @pytest.mark.parametrize("kind, seed", _PATCH_FAMILIES)
-def test_memoised_queries_match_unmemoised_patch(kind, seed):
+def test_cached_patch_queries_match_rebuilt_patch(kind, seed):
     inst = generate(n=10, m=64, W=8, seed=50 + seed, epsilon=0.5)
     padded = prepare_for_build(inst)
     kwargs = {"k": 6} if kind == "window_shuffle" else {"p": 0.1}
@@ -364,9 +367,9 @@ def test_memoised_queries_match_unmemoised_patch(kind, seed):
         pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(4)]
         pairs += [(rng.choice(a), rng.choice(b)) for a in (inside, outside) for b in (inside, outside) if a and b]
         pairs.append((rng.randrange(n),) * 2)
-        for i, j in pairs + pairs:  # the repeats hit the caches at this frontier
+        for i, j in pairs + pairs:  # the repeats read the patch graph cached at this frontier
             got = online.query(i, j)
-            assert (got, online.last_patch_vertices) == _unmemoised_query(online, i, j)
+            assert (got, online.last_patch_vertices) == _rebuilt_patch_query(online, i, j)
             seen.add((i in inside, j in inside, i == j))
 
     stalled = 0  # arrivals that leave the frontier in place and update the cached patch graph
@@ -434,3 +437,75 @@ def test_online_sandwich_under_reversal():
     inst = generate(n=6, m=8, W=5, seed=47, epsilon=1.0)
     pred = list(reversed(list(prepare_for_build(inst).sigma)))
     _replay_with_checks(inst, pred, sample=20)
+
+
+# -- arbitrary arrivals -------------------------------------------------------------
+
+
+class ApspArrivals(RuleBasedStateMachine):
+    """True arrivals in any order against a fully shuffled prediction.
+
+    The prediction is a seeded shuffle of the padded timeline, so the
+    frontier can stall at any position and the patch graph is built,
+    extended and dropped in every order the arrivals allow.
+    """
+
+    W = 6
+
+    @initialize(seed=st.integers(0, 10_000), n=st.integers(3, 8), m=st.integers(2, 32))
+    def build(self, seed, n, m):
+        inst = generate(n=n, m=m, W=self.W, seed=seed, epsilon=0.5)
+        pred = list(prepare_for_build(inst).sigma)
+        random.Random(seed).shuffle(pred)
+        self.online = OnlineApsp(inst, pred)
+        self.pending = list(self.online.instance.sigma)
+        self.arrived = []
+        self.next_id = 1 + max(e.edge_id for e in self.pending)
+
+    @precondition(lambda self: self.pending)
+    @rule(data=st.data())
+    def arrive(self, data):
+        edge = data.draw(st.sampled_from(self.pending))
+        self.online.insert(edge)
+        self.pending.remove(edge)
+        self.arrived.append(edge)
+
+    @rule(data=st.data())
+    def rejected_arrival(self, data):
+        online = self.online
+        bad = [EdgeInsert(self.next_id, 0, 1, 1)]  # outside the prediction; at t = m, one arrival too many
+        if self.arrived:
+            bad.append(data.draw(st.sampled_from(self.arrived)))
+        if self.pending:
+            bad += _bad_arrivals(data.draw(st.sampled_from(self.pending)), online.n, online.instance.W)
+        before = (_apsp_state(online), repr(online._graph))
+        with pytest.raises(ValueError):
+            online.insert(data.draw(st.sampled_from(bad)))
+        assert (_apsp_state(online), repr(online._graph)) == before
+
+    @rule(data=st.data())
+    def query(self, data):
+        online = self.online
+        i, j = data.draw(st.integers(0, online.n - 1)), data.draw(st.integers(0, online.n - 1))
+        got = online.query(i, j)
+        assert (got, online.last_patch_vertices) == _rebuilt_patch_query(online, i, j)
+        assert online.last_patch_vertices <= 2 * len(online.pending_edges()) + 2
+        exact = dijkstra_exact(self.arrived, online.n, i)[j]
+        if exact == UNREACHABLE:
+            assert got == UNREACHABLE
+        else:
+            assert exact <= got <= exact * (1 + online.instance.epsilon) * (1 + 1e-9)
+
+    @invariant()
+    def frontier_and_pending_follow_the_prediction(self):
+        arrived = {e.edge_id for e in self.arrived}
+        predicted = list(self.online.prediction)
+        k = 0
+        while k < len(predicted) and predicted[k].edge_id in arrived:
+            k += 1
+        assert self.online.frontier == k
+        assert self.online.pending_edges() == [e for e in predicted[k:] if e.edge_id in arrived]
+
+
+ApspArrivals.TestCase.settings = settings(max_examples=30, deadline=None)
+test_apsp_arbitrary_arrivals = ApspArrivals.TestCase

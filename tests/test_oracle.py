@@ -8,7 +8,6 @@ from incsp.oracle import (
     _sandwich_violation,
     bellman_ford,
     dijkstra_exact,
-    exact_apsp_table,
     exact_distance_table,
     exact_rows,
     oracle_self_check,
@@ -16,7 +15,7 @@ from incsp.oracle import (
     verify_online_run,
 )
 from incsp.workload import generate
-from tests.conftest import INF, T1_ORACLE_ROWS, brute_edit_distance
+from tests.conftest import INF, T1_ORACLE_ROWS, brute_edit_distance, exact_apsp_table
 
 
 # -- exact solvers -----------------------------------------------------------------
