@@ -34,7 +34,6 @@ from .model import (
 from .offline import OfflineStructure, build_offline, structures_equal
 from .online import OnlineEngine, start_online
 from .oracle import (
-    exact_distance_table,
     exact_rows,
     verify_offline,
     verify_online_run,
@@ -61,7 +60,6 @@ __all__ = [
     "compute_profile",
     "derive_internal_epsilon",
     "edit_distance",
-    "exact_distance_table",
     "exact_rows",
     "generate",
     "hamming",

@@ -22,8 +22,7 @@ at its deepest alive strict ancestor of the current node, or the time-m
 anchor when no ancestor has it alive.  A node writes its estimates into
 the array before recursing and restores the old entries afterwards, so
 whether a vertex is alive at an interval end is a dict hit on the end node
-and a dead tail's estimate at mid is one array read.  estimate_at resolves
-the same value independently, by binary search over the ancestor chain.
+and a dead tail's estimate at mid is one array read.
 
 Edge scans: build and repair scan the same list at a node, the edges alive
 at its hi end (every edge when hi = m); a right child keeps only those whose
@@ -45,27 +44,29 @@ repairs a build (all-pairs keeps one per source), a QueryTable sharing its
 rows outlives the tree.
 
 Repair: the online engine changes the structure only through
-recompute_base, mark_prefixes, push_base_move, settle_chain and flush, and
-repairs on demand (change propagation in the style of Ramalingam and Reps,
-driven by demand as in Adapton).  A node's result depends only on its alive
-set, its alive edges and the inherited estimates of its dead tails; those
-in turn come from its two end maps, the prefix at its midpoint and the
-above array, all of which sit on its own ancestor chain.  The edges_hi list
-it filters decides nothing beyond them (see the repair pruning notes in
+mark_prefixes, recompute_base, settle_chain and flush, and repairs on
+demand (change propagation in the style of Ramalingam and Reps, driven by
+demand as in Adapton).  A node's result depends only on its alive set, its
+alive edges and the inherited estimates of its dead tails; those in turn
+come from its two end maps, the prefix at its midpoint and the above array,
+all of which sit on its own ancestor chain.  The edges_hi list it filters
+decides nothing beyond them (see the repair pruning notes in
 OfflineStructure).  So an arrival solves nothing when it is recorded: it
-marks the nodes whose prefix change touches their alive set, and an
-unpredicted arrival that moves base_m leaves a pending input diff at the
-root.  A diff holds the vertices whose entry in either end map moved and a
-stale map {v: previous above[v]} of the inherited estimates that moved.
-settle_chain(t) then settles the ancestor chain of time t root first, and
-flush() settles the whole tree with the build's walk.  Each node that is
-marked or holds a diff is kept without a Dijkstra when none of that can
-reach its alive set or alive edges, or re-solved otherwise, scanning the
+only adds to the pending map, which holds one input diff per dirty node.  A
+diff holds the vertices whose entry in either end map moved, a stale map
+{v: previous above[v]} of the inherited estimates that moved, and a prefix
+flag.  mark_prefixes sets the flag on each jumped node whose alive set the
+prefix change touches, and recompute_base, when an unpredicted arrival
+moves base_m, leaves the root a diff of the moved entries.  settle_chain(t)
+then settles the ancestor chain of time t root first, and flush() settles
+the whole tree with the build's walk.  A node with a diff is re-solved when
+its prefix flag is set, else kept without a Dijkstra when nothing in the
+diff can reach its alive set or alive edges, else re-solved, scanning the
 same edge list a build would; either way it forwards how its own estimates
 and inherited values moved to both children's pending diffs, which
 accumulate until a later chain or flush reaches them.  A node dirtied k
-times is thus solved at most once for all of them.  A node that is neither
-marked nor holds a diff equals a fresh build's once its ancestors do.
+times is thus solved at most once for all of them.  A node without a diff
+equals a fresh build's once its ancestors do.
 """
 
 from __future__ import annotations
@@ -122,16 +123,19 @@ class _InputDiff(NamedTuple):
     lo and hi hold (at least) the vertices whose entry in lo_est or hi_est
     moved (value, or present against absent); stale maps (at least) each
     vertex whose inherited estimate above[v] moved to the value the stored
-    version saw.  How edges_hi changed is not part of it: see the repair
-    pruning notes in OfflineStructure.
+    version saw; prefix is set when the prefix at its midpoint changed in a
+    way that touches its alive set, which forces a re-solve.  How edges_hi
+    changed is not part of it: see the repair pruning notes in
+    OfflineStructure.
     """
 
     lo: set[int]
     hi: set[int]
     stale: dict[int, float]
+    prefix: bool = False
 
 
-_NO_DIFF = _InputDiff(frozenset(), frozenset(), {})
+_MARK = _InputDiff(frozenset(), frozenset(), {}, True)
 
 
 def _moved_keys(new: dict[int, float], old: dict[int, float]) -> set[int]:
@@ -146,14 +150,14 @@ def _children_stale(
 
     above still holds the node's own inherited estimates, so a vertex the
     node does not hold alive inherits above[v] now and stale.get(v, above[v])
-    before; moved is _moved_keys(new, old).
+    before; moved is _moved_keys(new, old).  A vertex the node holds alive
+    at an unmoved estimate hands that same value down, so only stale
+    vertices outside both maps and the moved ones can enter the result.
     """
-    if not moved:
-        if stale.keys().isdisjoint(new):
-            return stale
-        return {v: before for v, before in stale.items() if v not in new}
+    if not moved and stale.keys().isdisjoint(new):
+        return stale
     out = {v: before for v, before in stale.items() if v not in new and v not in old}
-    for v in new.keys() | old.keys():
+    for v in moved:
         before = old[v] if v in old else stale.get(v, above[v])
         if before != (new[v] if v in new else above[v]):
             out[v] = before
@@ -167,8 +171,9 @@ class SolveCounters:
     alive_edges_per_node and alive_nodes_per_vertex accumulate per solve
     (after a build they describe each node's single solve).
     rebuilds_per_node is kept for a run's counters only (per_node_rebuilds);
-    after a build every entry would read 1, so a build's is None.  Marked
-    nodes a repair keeps without a Dijkstra count in nodes_skipped only.
+    after a build every entry would read 1, so a build's is None.  Nodes
+    with a pending diff that a repair keeps without a Dijkstra count in
+    nodes_skipped only.
     scan_work sums the lengths of the edge lists the solved nodes scanned,
     the same narrowed lists in build and repair (see _edge_list).
     """
@@ -293,9 +298,7 @@ class OfflineStructure(QueryTable):
         self._est_m: dict[int, float] = dict.fromkeys(range(self.n), UNREACHABLE)
         self._est_0: dict[int, float] = dict.fromkeys(range(self.n), UNREACHABLE)
         self._est_0[self.source] = 0
-        # Repair state (see the module docstring): the midpoints whose prefix
-        # change touched their stored alive set, and each node's pending diff.
-        self.marked: set[int] = set()
+        # Repair state (see the module docstring): each node's pending diff.
         self.pending: dict[int, _InputDiff] = {}
         # settle_chain's estimates at the last time it settled (None before
         # the first call), the path it overlaid there as (node, undo) pairs,
@@ -303,43 +306,6 @@ class OfflineStructure(QueryTable):
         self.est_t: list[float] | None = None
         self._path: list[tuple[RecursionNode, list[float]]] = []
         self._base_moved: set[int] = set()
-
-    # -- estimate resolution -------------------------------------------------
-
-    def _resolve_above(self, v: int, t: int) -> float:
-        """Estimate of v at time t for v dead at the node owning t.
-
-        Alive flags are monotone along the ancestor chain, so binary search
-        locates the deepest alive ancestor; when none exists the estimates
-        at both timeline ends agree and the anchor value is returned.
-        """
-        chain = time_ancestors(t, self.m)
-        lo, hi = 0, len(chain)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if v in self.nodes[chain[mid]].alive_estimates:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo == 0:
-            return self.base_m[v]
-        return self.nodes[chain[lo - 1]].alive_estimates[v]
-
-    def estimate_at(self, v: int, t: int) -> float:
-        """The rounded estimate the structure holds for v at time t."""
-        if not 0 <= t <= self.m:
-            raise ValueError("time out of range")
-        if not 0 <= v < self.n:
-            raise ValueError("vertex id out of range")
-        if t == 0:
-            return 0 if v == self.source else UNREACHABLE
-        if t == self.m:
-            return self.base_m[v]
-        node = self.nodes[t]
-        est = node.alive_estimates.get(v)
-        if est is not None:
-            return est
-        return self._resolve_above(v, t)
 
     # -- solving -------------------------------------------------------------
 
@@ -425,11 +391,12 @@ class OfflineStructure(QueryTable):
     def _node_kept(self, node, lo_est, hi_est, diff: _InputDiff) -> bool:
         """Whether re-solving node against the current inputs would reproduce it.
 
-        The prefix at its midpoint must be unchanged (the caller checks the
-        marks).  A vertex whose end entry moved keeps its alive status when
-        it was alive and still differs across the ends, or was dead and now
-        is missing from an end or equal at both; whether it heads an edge of
-        edges_hi follows from that (see the repair pruning notes above).
+        The prefix at its midpoint must be unchanged (the caller checks
+        diff.prefix).  A vertex whose end entry moved keeps its alive status
+        when it was alive and still differs across the ends, or was dead and
+        now is missing from an end or equal at both; whether it heads an
+        edge of edges_hi follows from that (see the repair pruning notes
+        above).
         """
         alive = node.alive_estimates
         for v in chain(diff.lo, diff.hi):
@@ -468,58 +435,54 @@ class OfflineStructure(QueryTable):
     # -- demand-driven repair --------------------------------------------------
 
     def _push(self, mid: int, diff: _InputDiff) -> None:
-        """Add diff to node mid's pending one, keeping the first old value of each stale vertex."""
+        """Add a vertex diff to node mid's pending one, keeping its prefix
+        mark and the first old value of each stale vertex."""
         if not (diff.lo or diff.hi or diff.stale):
             return
         old = self.pending.get(mid)
         if old is not None:
-            diff = _InputDiff(old.lo | diff.lo, old.hi | diff.hi, {**diff.stale, **old.stale})
+            diff = _InputDiff(old.lo | diff.lo, old.hi | diff.hi, {**diff.stale, **old.stale}, old.prefix)
         self.pending[mid] = diff
 
     def mark_prefixes(self, first: int, last: int, arrived: int) -> None:
-        """Record that each internal prefix p in [first, last] gained ``arrived``
-        and lost the edge now at 0-based index p of the timeline (the one
-        the shift pushed out of prefix p).
+        """Record that each prefix p in [first, last] gained ``arrived`` and
+        lost the edge now at 0-based index p of the timeline (the one the
+        shift pushed out of prefix p); prefixes from m on own no node and
+        are skipped.
 
-        Only a node whose stored alive set holds the head of either edge is
-        marked: its stored version stays until it is settled, so that is
-        the test settling would make.
+        Only a node whose stored alive set holds the head of either edge
+        gets the prefix flag on its pending diff: its stored version stays
+        until it is settled, so that is the test settling would make.
         """
-        head, order, nodes = self.cols.head, self.cols.order, self.nodes
+        head, order, nodes, pending = self.cols.head, self.cols.order, self.nodes, self.pending
         gained = head[arrived]
-        for p in range(first, last + 1):
+        for p in range(first, min(last, self.m - 1) + 1):
             alive = nodes[p].alive_estimates
             if gained in alive or head[order[p]] in alive:
-                self.marked.add(p)
-
-    def push_base_move(self, old_base: dict[int, float]) -> None:
-        """Leave the root a pending diff for base_m entries that recompute_base moved."""
-        self._push(self.m // 2, _InputDiff(set(), set(old_base), old_base))
-        self._base_moved.update(old_base)
+                pending[p] = pending[p]._replace(prefix=True) if p in pending else _MARK
 
     def _settle(self, lo: int, hi: int, above: list[float], sink: SolveCounters, edges=None):
         """Bring the node covering [lo, hi] up to date; its ancestors must be.
 
         above holds the node's inherited estimates and edges its edge list
         (None: derive it if the node is solved).  A node not yet built is
-        solved.  A built node that is neither marked nor holds a pending
-        diff is returned as it is.  Otherwise it is kept or re-solved, and
-        how its estimates and inherited values moved goes to both
-        children's pending diffs.  Returns the node and, when it was just
-        solved, its inner list (else None).
+        solved.  A built node without a pending diff is returned as it is.
+        Otherwise it is re-solved when its prefix is marked, else kept or
+        re-solved as _node_kept decides, and how its estimates and
+        inherited values moved goes to both children's pending diffs.
+        Returns the node and, when it was just solved, its inner list (else
+        None).
         """
         mid = (lo + hi) // 2
         old = self.nodes[mid]
         if old is None:
             edges = self._edge_list(lo, hi) if edges is None else edges
             return self._solve_node(lo, hi, *self._ends(lo, hi), edges, above, sink)
-        diff = self.pending.pop(mid, _NO_DIFF)
-        marked = mid in self.marked
-        if diff is _NO_DIFF and not marked:
+        diff = self.pending.pop(mid, None)
+        if diff is None:
             return old, None
-        self.marked.discard(mid)
         lo_est, hi_est = self._ends(lo, hi)
-        if not marked and self._node_kept(old, lo_est, hi_est, diff):
+        if not diff.prefix and self._node_kept(old, lo_est, hi_est, diff):
             node, inner, moved = old, None, set()
             sink.nodes_skipped += 1
         else:
@@ -558,7 +521,7 @@ class OfflineStructure(QueryTable):
 
     def flush(self, sink: SolveCounters) -> None:
         """Settle every node, root first."""
-        if self.pending or self.marked:
+        if self.pending:
             self._walk(0, self.m, list(self.base_m), sink)
 
     def settle_chain(self, t: int, sink: SolveCounters) -> tuple[list[int], tuple[int, int] | None]:
@@ -569,13 +532,13 @@ class OfflineStructure(QueryTable):
         replaced, so a call undoes the previous path only below the part
         the new path shares with it and needs no settling, then overlays
         the rest; consecutive times share all but the deepest nodes.  A
-        node changes only when settled, and settling acts only on a marked
-        node or one with a pending diff, so the shared part is current; a
-        moved base_m leaves a diff at the root, so the whole path is undone
-        before the moved entries are written.  Returns the vertices whose
-        entry may have moved since the previous call (all of them may have
-        on the first) and the interval of the shallowest node re-solved
-        (None when none was).
+        node changes only when settled, and settling acts only on a node
+        with a pending diff, so the shared part is current; a moved base_m
+        leaves a diff at the root, so the whole path is undone before the
+        moved entries are written.  Returns the vertices whose entry may
+        have moved since the previous call (all of them may have on the
+        first) and the interval of the shallowest node re-solved (None when
+        none was).
         """
         if self.est_t is None:
             self.est_t = list(self.base_m)
@@ -583,7 +546,7 @@ class OfflineStructure(QueryTable):
         mids = time_chain(t, self.m)
         keep = 0
         for (node, _), mid in zip(path, mids):
-            if node.mid != mid or mid in self.pending or mid in self.marked:
+            if node.mid != mid or mid in self.pending:
                 break
             keep += 1
         while len(path) > keep:
@@ -611,7 +574,12 @@ class OfflineStructure(QueryTable):
         return touched, top
 
     def recompute_base(self) -> dict[int, float]:
-        """Refresh the exact distances at time m; map each moved entry to its old value."""
+        """Refresh the exact distances at time m; map each moved entry to its old value.
+
+        Once the tree is built, the moved entries also become a pending diff
+        at the root (its hi end and its inherited estimates both read
+        base_m) and are recorded for settle_chain to write into est_t.
+        """
         cols = self.cols
         head, tail, weight = cols.head, cols.tail, cols.weight
         adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
@@ -623,6 +591,9 @@ class OfflineStructure(QueryTable):
         self.base_m = new
         for v in moved:
             self._est_m[v] = new[v]
+        if moved and self.nodes[self.m // 2] is not None:
+            self._push(self.m // 2, _InputDiff(set(), set(moved), moved))
+            self._base_moved.update(moved)
         return moved
 
     # -- query tables ----------------------------------------------------------

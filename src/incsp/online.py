@@ -10,14 +10,15 @@ prediction (a model.InsertSequence), never the caller's.  Only the
 prefixes the shift jumped over change, and an unpredicted arrival may move
 the exact distances at time m.
 
-Repair is demand-driven (see offline.py).  An arrival at time t records
-what changed: it marks the nodes of the jumped prefixes whose alive set the
-change touches, and a moved time-m anchor becomes a pending diff at the
-root.  The live distance array D after arrival t holds the estimates at t,
-which read only node t, its ancestors and base_m, so only that chain is
-settled, root first; every other node waits, with its input diffs
-accumulated, until a later chain reaches it or flush() settles the whole
-tree.  Repair cost thus tracks prediction quality rather than instance
+Repair is demand-driven (see offline.py), and the structure owns every
+repair decision.  An arrival at time t only reports what changed: the span
+of prefixes its shift jumped over goes to mark_prefixes, and an unpredicted
+arrival calls recompute_base, which leaves the root a pending diff when the
+time-m anchor moved.  The live distance array D after arrival t holds the
+estimates at t, which read only node t, its ancestors and base_m, so only
+that chain is settled, root first; every other node waits, with its input
+diffs accumulated, until a later chain reaches it or flush() settles the
+whole tree.  Repair cost thus tracks prediction quality rather than instance
 size, and a node dirtied many times between two demands is solved once.
 D is rewritten only where an estimate changed (wholly at t = m), and only
 the vertices of the path nodes that settle_chain swapped in or out are
@@ -48,25 +49,12 @@ from .offline import (
 )
 
 
-def jumped_midpoint_range(t: int, t_prime: int, m: int) -> tuple[int, int] | None:
-    """Midpoints whose prefix changes when the arrival at t was predicted at t_prime.
-
-    None when the prediction was exact or no internal midpoint is touched.
-    """
-    if t_prime < t:
-        raise ValueError("an arrival is never predicted earlier than its own position")
-    lo, hi = max(1, t), min(t_prime - 1, m - 1)
-    if lo > hi:
-        return None
-    return lo, hi
-
-
 class RunCounters:
     """Run totals over every arrival of one engine.
 
     sink is the SolveCounters that every settled node feeds, on an
     arrival's chain or in a flush, so nodes_rebuilt counts real re-solves
-    and sink.nodes_skipped the marked nodes kept without one; flush_rebuilt
+    and sink.nodes_skipped the dirty nodes kept without one; flush_rebuilt
     and flush_skipped count the part of each that flushes did.
     full_rebuilds counts the arrivals that moved the time-m anchor and so
     left the root a pending diff.
@@ -159,6 +147,7 @@ class OnlineEngine:
 
         t = self.t + 1
         m = self.m
+        structure = self._structure
 
         if t_prime == t:
             case = "match"
@@ -176,16 +165,11 @@ class OnlineEngine:
                 self.counters.jumps_per_position[p] += 1
             self.counters.total_jumps += hi_pos - t + 1
             jumped_positions = (t, hi_pos)
+            structure.mark_prefixes(t, hi_pos, edge.edge_id)
         else:
             jumped_positions = None
-
-        structure = self._structure
-        midrange = jumped_midpoint_range(t, t_prime, m)
-        if midrange is not None:
-            structure.mark_prefixes(midrange[0], midrange[1], edge.edge_id)
         moved = structure.recompute_base() if case == "absent" else {}
         if moved:
-            structure.push_base_move(moved)
             self.counters.full_rebuilds += 1
 
         sink = self.counters.sink

@@ -87,11 +87,6 @@ def exact_rows(instance: ProblemInstance) -> Iterator[list[float]]:
         yield dist[:]
 
 
-def exact_distance_table(instance: ProblemInstance) -> list[list[float]]:
-    """rows[t][v] = exact distance from the source in the first-t-edges graph."""
-    return list(exact_rows(instance))
-
-
 def oracle_self_check(instance: ProblemInstance, stride: int = 1) -> bool:
     """exact_rows / Dijkstra / Bellman-Ford agreement on every stride-th prefix."""
     stride = max(1, stride)

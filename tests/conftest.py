@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import pytest
 
-from incsp.model import align_prediction, parse_instance, prepare_for_build
+from incsp.model import UNREACHABLE, align_prediction, parse_instance, prepare_for_build
 from incsp.offline import time_ancestors
 from incsp.oracle import _sandwich_violation, exact_rows
 
@@ -44,6 +44,40 @@ def brute_edit_distance(sigma, sigma_hat) -> int:
                 cur[j] = 1 + min(prev[j], cur[j - 1])
         prev = cur
     return prev[len(b)]
+
+
+def exact_distance_table(instance) -> list[list[float]]:
+    """rows[t][v] = exact distance from the source in the first-t-edges graph."""
+    return list(exact_rows(instance))
+
+
+def estimate_at(structure, v: int, t: int) -> float:
+    """The rounded estimate an OfflineStructure holds for v at time t.
+
+    Resolved apart from the solver's estimate array: a vertex dead at the
+    node owning t takes its value from its deepest alive ancestor, found by
+    binary search since alive flags are monotone along the ancestor chain,
+    or from the time-m anchor when no ancestor has it alive (the estimates
+    at both timeline ends then agree).
+    """
+    if t == 0:
+        return 0 if v == structure.source else UNREACHABLE
+    if t == structure.m:
+        return structure.base_m[v]
+    est = structure.nodes[t].alive_estimates.get(v)
+    if est is not None:
+        return est
+    chain = time_ancestors(t, structure.m)
+    lo, hi = 0, len(chain)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if v in structure.nodes[chain[mid]].alive_estimates:
+            lo = mid + 1
+        else:
+            hi = mid
+    if lo == 0:
+        return structure.base_m[v]
+    return structure.nodes[chain[lo - 1]].alive_estimates[v]
 
 
 def exact_apsp_table(instance) -> list[list[list[float]]]:

@@ -15,13 +15,14 @@ from incsp.apsp import OnlineApsp, build_apsp
 from incsp.metrics import compute_profile, edit_distance
 from incsp.model import EdgeInsert, UNREACHABLE, align_prediction, prepare_for_build
 from incsp.offline import build_offline
-from incsp.oracle import (
-    exact_distance_table,
-    verify_offline,
-    verify_online_run,
-)
+from incsp.oracle import verify_offline, verify_online_run
 from incsp.workload import PerturbationSpec, generate, perturb
-from tests.conftest import brute_edit_distance, exact_apsp_table, verify_apsp_offline
+from tests.conftest import (
+    brute_edit_distance,
+    exact_apsp_table,
+    exact_distance_table,
+    verify_apsp_offline,
+)
 
 N_CHOICES = (10, 30, 50)
 M_CHOICES = (32, 128, 256)

@@ -7,16 +7,19 @@ from hypothesis import strategies as st
 from incsp.bucketing import derive_internal_epsilon
 from incsp.model import UNREACHABLE, parse_instance, prepare_for_build
 from incsp.offline import (
+    _MARK,
     SolveCounters,
+    _children_stale,
+    _moved_keys,
     build_offline,
     dijkstra,
     structures_equal,
     time_ancestors,
     tree_level,
 )
-from incsp.oracle import exact_distance_table, verify_offline
+from incsp.oracle import verify_offline
 from incsp.workload import generate
-from tests.conftest import T1_ORACLE_ROWS, assert_alive_sets_nested
+from tests.conftest import T1_ORACLE_ROWS, assert_alive_sets_nested, estimate_at, exact_distance_table
 
 
 # -- tree navigation ----------------------------------------------------------
@@ -128,7 +131,7 @@ def test_query_requires_entry_times(t1_padded):
     with pytest.raises(ValueError):
         bare.query(1, 2)
     # estimates still resolvable without the query tables
-    assert bare.estimate_at(1, 4) == 1
+    assert estimate_at(bare, 1, 4) == 1
 
 
 def test_t1_verify_offline_clean(t1_structure, t1_padded):
@@ -217,7 +220,7 @@ def test_estimates_constant_over_dead_spans(random_case):
     for t in range(1, s.m):
         for v in range(s.n):
             if v not in s.nodes[t].alive_estimates:
-                assert s.estimate_at(v, t) == s.estimate_at(v, t - 1)
+                assert estimate_at(s, v, t) == estimate_at(s, v, t - 1)
 
 
 def test_settle_chain_tracks_estimates_at_any_time_order(random_case):
@@ -229,7 +232,7 @@ def test_settle_chain_tracks_estimates_at_any_time_order(random_case):
     for t in times:
         touched, top = s.settle_chain(t, sink)
         assert top is None and sink.nodes_solved == 0
-        assert s.est_t == [s.estimate_at(v, t) for v in range(s.n)]
+        assert s.est_t == [estimate_at(s, v, t) for v in range(s.n)]
         assert {v for v in range(s.n) if s.est_t[v] != before[v]} <= set(touched)
         before = list(s.est_t)
 
@@ -241,13 +244,49 @@ def test_flush_of_every_node_scans_what_the_build_scanned(seed):
     padded = prepare_for_build(generate(n=40, m=256, W=10, seed=seed, epsilon=0.5))
     s = build_offline(padded, with_entry_times=False)
     m = s.m
-    s.marked.update(range(1, m))
+    s.pending.update(dict.fromkeys(range(1, m), _MARK))
     sink = SolveCounters(s.n, m)
     s.flush(sink)
     assert sink.nodes_solved == m - 1
     assert sink.scan_work == s.stats.scan_work
     assert sink.alive_edges_per_node == s.stats.alive_edges_per_node
     assert structures_equal(s, build_offline(padded, with_entry_times=False))
+
+
+def test_build_leaves_no_repair_state(t1_padded):
+    # recompute_base runs before the tree exists, so it leaves no root diff.
+    for inst in (t1_padded, prepare_for_build(generate(n=12, m=64, W=10, seed=42, epsilon=0.5))):
+        s = build_offline(inst)
+        assert not s.pending
+        assert not s._base_moved
+
+
+def _children_stale_reference(stale, above, new, old, moved):
+    """The stale map below a node as first written: every vertex of new or old is examined."""
+    if not moved:
+        if stale.keys().isdisjoint(new):
+            return stale
+        return {v: before for v, before in stale.items() if v not in new}
+    out = {v: before for v, before in stale.items() if v not in new and v not in old}
+    for v in new.keys() | old.keys():
+        before = old[v] if v in old else stale.get(v, above[v])
+        if before != (new[v] if v in new else above[v]):
+            out[v] = before
+    return out
+
+
+_VALUES = st.sampled_from([1, 2, 3, UNREACHABLE])
+_ESTIMATE_MAPS = st.dictionaries(st.integers(0, 5), _VALUES, max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(stale=_ESTIMATE_MAPS, above=st.lists(_VALUES, min_size=6, max_size=6), new=_ESTIMATE_MAPS, old=_ESTIMATE_MAPS)
+@example(stale={0: 1}, above=[2] * 6, new={0: 3}, old={0: 3})
+def test_children_stale_matches_the_full_scan(stale, above, new, old):
+    # Only the moved vertices are examined: one alive before and after at
+    # the same estimate hands that value down unchanged.
+    moved = _moved_keys(new, old)
+    assert _children_stale(stale, above, new, old, moved) == _children_stale_reference(stale, above, new, old, moved)
 
 
 def test_node_estimates_sandwich_by_level(random_case):
@@ -270,7 +309,7 @@ def test_resolved_estimates_sandwich_everywhere(random_case):
     band = (1 + s.table.delta) ** log_m * (1 + 1e-9)
     for t in range(s.m + 1):
         for v in range(s.n):
-            est = s.estimate_at(v, t)
+            est = estimate_at(s, v, t)
             exact = rows[t][v]
             if est == UNREACHABLE or exact == UNREACHABLE:
                 assert est == exact

@@ -14,15 +14,10 @@ from incsp.model import (
     parse_instance,
     prepare_for_build,
 )
-from incsp.offline import structures_equal, time_ancestors
-from incsp.online import (
-    OnlineEngine,
-    jumped_midpoint_range,
-    start_online,
-)
-from incsp.oracle import exact_distance_table
+from incsp.offline import _MARK, _InputDiff, structures_equal, time_ancestors, time_chain
+from incsp.online import OnlineEngine, start_online
 from incsp.workload import PerturbationSpec, generate, perturb
-from tests.conftest import T1_ORACLE_ROWS, W4_TEXT, assert_alive_sets_nested
+from tests.conftest import T1_ORACLE_ROWS, W4_TEXT, assert_alive_sets_nested, estimate_at, exact_distance_table
 
 
 # -- prediction timeline bookkeeping -------------------------------------------
@@ -59,25 +54,65 @@ def test_insert_truncating_drops_the_tail(t1_edges):
     assert tl.position_of(50) == 2
 
 
-# -- jumped midpoint ranges ------------------------------------------------------
+# -- prefix marks ---------------------------------------------------------------
 
 
-def test_jumped_range_examples():
-    assert jumped_midpoint_range(4, 8, 16) == (4, 7)
-    assert jumped_midpoint_range(3, 3, 16) is None
-    assert jumped_midpoint_range(1, 17, 16) == (1, 15)
-    assert jumped_midpoint_range(1, 2, 4) == (1, 1)
+def _marks_of(s, first, last, arrived):
+    """The midpoints mark_prefixes(first, last, arrived) flags on a clean structure."""
+    assert not s.pending
+    s.mark_prefixes(first, last, arrived)
+    marks = sorted(s.pending)
+    assert all(s.pending[p] is _MARK for p in marks)
+    s.pending.clear()
+    return marks
 
 
-def test_jumped_range_clamps_to_internal_midpoints():
-    # arriving last with t' = m+1 jumps over position m but no midpoint
-    assert jumped_midpoint_range(16, 17, 16) is None
-    assert jumped_midpoint_range(15, 17, 16) == (15, 15)
+def test_mark_prefixes_examples():
+    # Every midpoint that a full span flags is one whose alive set holds
+    # the head of the arrived edge or of the edge at its index; a narrower
+    # span flags exactly its own part of that set.
+    engine = start_online(generate(n=8, m=16, W=6, seed=3, epsilon=1.0))
+    s, m = engine.structure, engine.m
+    cols = s.cols
+    arrived = cols.order[m - 1]
+    everywhere = _marks_of(s, 1, m - 1, arrived)
+    assert everywhere
+    for p in range(1, m):
+        alive = s.nodes[p].alive_estimates
+        assert (p in everywhere) == (cols.head[arrived] in alive or cols.head[cols.order[p]] in alive)
+    assert _marks_of(s, 4, 7, arrived) == [p for p in everywhere if 4 <= p <= 7]
+    assert _marks_of(s, 5, 4, arrived) == []
 
 
-def test_jumped_range_rejects_backward_moves():
-    with pytest.raises(ValueError):
-        jumped_midpoint_range(5, 4, 16)
+def test_mark_prefixes_clips_to_internal_midpoints():
+    # Arriving last with t' = m + 1 jumps over position m, which owns no
+    # node: last = m never reads nodes[m], and a span starting at m marks
+    # nothing.
+    engine = start_online(generate(n=8, m=16, W=6, seed=3, epsilon=1.0))
+    s, m = engine.structure, engine.m
+    arrived = s.cols.order[0]
+    assert len(s.nodes) == m
+    assert _marks_of(s, 1, m, arrived) == _marks_of(s, 1, m - 1, arrived)
+    assert _marks_of(s, m - 1, m, arrived) == _marks_of(s, m - 1, m - 1, arrived)
+    assert _marks_of(s, m, m, arrived) == []
+
+
+def test_prefix_mark_and_vertex_diff_share_one_entry():
+    # A node that already holds a vertex diff keeps it when marked, and a
+    # vertex diff merged into a marked entry keeps the mark.
+    engine = start_online(generate(n=8, m=16, W=6, seed=3, epsilon=1.0))
+    s, m = engine.structure, engine.m
+    arrived = s.cols.order[m - 1]
+    p = _marks_of(s, 1, m - 1, arrived)[0]
+    v = next(iter(s.nodes[p].alive_estimates))
+    s._push(p, _InputDiff({v}, set(), {}))
+    s.mark_prefixes(p, p, arrived)
+    assert s.pending[p] == _InputDiff({v}, set(), {}, True)
+    s._push(p, _InputDiff(set(), {v}, {}))
+    assert s.pending[p] == _InputDiff({v}, {v}, {}, True)
+    engine.flush()
+    assert not s.pending
+    assert engine.matches_fresh_build()
 
 
 # -- the worked trace ------------------------------------------------------------
@@ -188,7 +223,7 @@ def test_unpredicted_arrival_with_a_far_edge_id(t1_padded, t1_edges, edge_id):
     for edge in arrivals:
         engine.insert(edge)
         assert engine.matches_fresh_build()
-        assert engine.D == [engine.structure.estimate_at(v, engine.t) for v in range(engine.n)]
+        assert engine.D == [estimate_at(engine.structure, v, engine.t) for v in range(engine.n)]
     cols = engine.timeline.columns
     assert sum(sys.getsizeof(c) for c in (cols.head, cols.tail, cols.weight, cols.position)) < 1 << 16
     assert engine.timeline.position_of(edge_id) == 2
@@ -231,7 +266,6 @@ def _engine_state(engine, s):
         [column.copy() for column in (cols.head, cols.tail, cols.weight, cols.position, cols.order)],
         s.base_m[:],
         [id(node) for node in s.nodes],
-        sorted(s.marked),
         dict(s.pending),
         dict(engine.counters.case_counts),
         engine.counters.total_jumps,
@@ -442,7 +476,7 @@ def test_D_matches_structure_after_every_arrival(seed, n, m, spec):
     s = engine.structure
     for edge in engine.instance.sigma:
         engine.insert(edge)
-        assert engine.D == [s.estimate_at(v, engine.t) for v in range(engine.n)]
+        assert engine.D == [estimate_at(s, v, engine.t) for v in range(engine.n)]
     # nodes off the last chains may still be pending until the flush
     assert_alive_sets_nested(engine.structure)
 
@@ -515,14 +549,14 @@ FAMILIES = [
 def _assert_chain_consistent(engine):
     """D and the current time's chain equal a fresh build's, without a flush."""
     fresh = engine.fresh_rebuild()
-    assert engine.D == [fresh.estimate_at(v, engine.t) for v in range(engine.n)]
+    assert engine.D == [estimate_at(fresh, v, engine.t) for v in range(engine.n)]
     assert engine.chain_matches_fresh_build()
 
 
 def _assert_consistent(engine):
     _assert_chain_consistent(engine)
     s = engine.structure  # flushed
-    assert engine.D == [s.estimate_at(v, engine.t) for v in range(engine.n)]
+    assert engine.D == [estimate_at(s, v, engine.t) for v in range(engine.n)]
     assert engine.matches_fresh_build()
 
 
@@ -710,6 +744,8 @@ class ArbitraryArrivals(RuleBasedStateMachine):
         self.arrived.append(edge)
         if edge in self.pending:
             self.pending.remove(edge)
+        # The arrival settled its own chain and left nothing pending on it.
+        assert self.structure.pending.keys().isdisjoint(time_chain(self.engine.t, self.engine.m))
 
     def _reject(self, edge):
         before = _engine_state(self.engine, self.structure)
@@ -750,6 +786,8 @@ class ArbitraryArrivals(RuleBasedStateMachine):
 
     @rule()
     def flush(self):
+        self.engine.flush()
+        assert not self.structure.pending
         _assert_consistent(self.engine)
 
     @invariant()

@@ -8,14 +8,13 @@ from incsp.oracle import (
     _sandwich_violation,
     bellman_ford,
     dijkstra_exact,
-    exact_distance_table,
     exact_rows,
     oracle_self_check,
     verify_offline,
     verify_online_run,
 )
 from incsp.workload import generate
-from tests.conftest import INF, T1_ORACLE_ROWS, brute_edit_distance, exact_apsp_table
+from tests.conftest import INF, T1_ORACLE_ROWS, brute_edit_distance, exact_apsp_table, exact_distance_table
 
 
 # -- exact solvers -----------------------------------------------------------------
