@@ -54,25 +54,27 @@ decides nothing beyond them (see the repair pruning notes in
 OfflineStructure).  So an arrival solves nothing when it is recorded: it
 only adds to the pending map, which holds one input diff per dirty node.  A
 diff holds the vertices whose entry in either end map moved, a stale map
-{v: previous above[v]} of the inherited estimates that moved, and a prefix
-flag.  mark_prefixes sets the flag on each jumped node whose alive set the
-prefix change touches, and recompute_base, when an unpredicted arrival
-moves base_m, leaves the root a diff of the moved entries.  settle_chain(t)
-then settles the ancestor chain of time t root first, and flush() settles
-the whole tree with the build's walk.  A node with a diff is re-solved when
-its prefix flag is set, else kept without a Dijkstra when nothing in the
-diff can reach its alive set or alive edges, else re-solved, scanning the
-same edge list a build would; either way it forwards how its own estimates
-and inherited values moved to both children's pending diffs, which
-accumulate until a later chain or flush reaches them.  A node dirtied k
-times is thus solved at most once for all of them.  A node without a diff
-equals a fresh build's once its ancestors do.
+{v: previous above[v]} of the inherited estimates that moved, and the net
+edge delta of the prefix at its midpoint.  mark_prefixes records in each
+jumped node's delta the edges gained and lost into its alive set, and
+recompute_base, when an unpredicted arrival moves base_m, leaves the root a
+diff of the moved entries.  settle_chain(t) then settles the ancestor chain
+of time t root first, and flush() settles the whole tree with the build's
+walk.  A node with a diff is kept without a Dijkstra when nothing in its
+vertex diff can reach its alive set or alive edges and every edge of its
+delta provably moves no distance (the node then only swaps the delta into
+its alive edges), else re-solved, scanning the same edge list a build
+would; either way it forwards how its own estimates and inherited values
+moved to both children's pending diffs, which accumulate until a later
+chain or flush reaches them.  A node dirtied k times is thus solved at most
+once for all of them.  A node without a diff equals a fresh build's once
+its ancestors do.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import chain
@@ -123,19 +125,17 @@ class _InputDiff(NamedTuple):
     lo and hi hold (at least) the vertices whose entry in lo_est or hi_est
     moved (value, or present against absent); stale maps (at least) each
     vertex whose inherited estimate above[v] moved to the value the stored
-    version saw; prefix is set when the prefix at its midpoint changed in a
-    way that touches its alive set, which forces a re-solve.  How edges_hi
-    changed is not part of it: see the repair pruning notes in
-    OfflineStructure.
+    version saw; delta is the net change of the prefix at its midpoint among
+    the edges into its stored alive set, {edge id: gained?}, empty when that
+    is unchanged.  Each entry owns its delta, which mark_prefixes updates in
+    place.  How edges_hi changed is not part of it: see the repair pruning
+    notes in OfflineStructure.
     """
 
     lo: set[int]
     hi: set[int]
     stale: dict[int, float]
-    prefix: bool = False
-
-
-_MARK = _InputDiff(frozenset(), frozenset(), {}, True)
+    delta: dict[int, bool]
 
 
 def _moved_keys(new: dict[int, float], old: dict[int, float]) -> set[int]:
@@ -172,8 +172,8 @@ class SolveCounters:
     (after a build they describe each node's single solve).
     rebuilds_per_node is kept for a run's counters only (per_node_rebuilds);
     after a build every entry would read 1, so a build's is None.  Nodes
-    with a pending diff that a repair keeps without a Dijkstra count in
-    nodes_skipped only.
+    with a pending diff that a repair keeps without a Dijkstra, those whose
+    prefix delta was proved harmless included, count in nodes_skipped only.
     scan_work sums the lengths of the edge lists the solved nodes scanned,
     the same narrowed lists in build and repair (see _edge_list).
     """
@@ -386,17 +386,22 @@ class OfflineStructure(QueryTable):
     # entry moved, a change to the prefix at mid, or a stale dead tail.
     # Edges that edges_hi gains or loses need no check of their own: the
     # arriving edge enters the prefixes through the prefix marks, and the
-    # truncated last edge sits at position m, in no internal prefix.
+    # truncated last edge sits at position m, in no internal prefix.  With
+    # the alive set fixed, a prefix change moves the alive edges by exactly
+    # the delta the marks recorded, and _delta_kept proves from the stored
+    # rounded estimates alone that no rounded estimate moves: the losses lie
+    # off every shortest path inside the grid, and the gains bring no
+    # distance lower inside it.  The kept alive edges are then the fresh
+    # build's.
 
     def _node_kept(self, node, lo_est, hi_est, diff: _InputDiff) -> bool:
-        """Whether re-solving node against the current inputs would reproduce it.
+        """Whether node keeps its alive set, and its patch graph apart from diff.delta.
 
-        The prefix at its midpoint must be unchanged (the caller checks
-        diff.prefix).  A vertex whose end entry moved keeps its alive status
-        when it was alive and still differs across the ends, or was dead and
-        now is missing from an end or equal at both; whether it heads an
-        edge of edges_hi follows from that (see the repair pruning notes
-        above).
+        A vertex whose end entry moved keeps its alive status when it was
+        alive and still differs across the ends, or was dead and now is
+        missing from an end or equal at both; whether it heads an edge of
+        edges_hi follows from that (see the repair pruning notes above).
+        No stored alive edge may have a stale dead tail.
         """
         alive = node.alive_estimates
         for v in chain(diff.lo, diff.hi):
@@ -411,6 +416,46 @@ class OfflineStructure(QueryTable):
                 u = tail[eid]
                 if u in stale and u not in alive:
                     return False
+        return True
+
+    def _delta_kept(self, node, delta: dict[int, bool], above: list[float]) -> bool:
+        """Whether the prefix change delta provably moves none of node's estimates.
+
+        est, the stored estimates, rounds the patch graph's distances up onto
+        the fine grid; a distance beyond the last grid point rounds to inf.
+        low(u) bounds the unrounded distance of a tail u from below: for an
+        alive u strictly, by the grid point under est[u] (0 under the first),
+        and for a dead u exactly, by its folded length above[u].  An alive u
+        at inf lies beyond the grid, and so does every path through it, so
+        its low(u) is inf.  A lost edge u -> v lies on no shortest path to a
+        vertex with a finite estimate when est[v] is inf or low(u) + w
+        reaches est[v] (passes it, for a dead tail, whose bound is exact); a
+        gained edge brings no vertex below its distance or inside the grid
+        when low(u) + w reaches est[v].  Then every finite estimate keeps
+        its distance and every infinite one stays beyond the grid, so the
+        rounded estimates are unchanged.  The caller has checked with
+        _node_kept that the alive set and every other patch edge stand.
+        """
+        est, fine = node.alive_estimates, self.table.fine
+        head, tail, weight = self.cols.head, self.cols.tail, self.cols.weight
+        for eid, gained in delta.items():
+            bound = est[head[eid]]
+            if bound == UNREACHABLE and not gained:
+                continue
+            u = tail[eid]
+            if u in est:
+                low = est[u]
+                if low != UNREACHABLE:
+                    i = bisect_left(fine, low)
+                    low = fine[i - 1] if i else 0.0
+                if low + weight[eid] >= bound:
+                    continue
+            elif gained:
+                if above[u] + weight[eid] >= bound:
+                    continue
+            elif above[u] + weight[eid] > bound:
+                continue
+            return False
         return True
 
     def _ends(self, lo: int, hi: int):
@@ -434,15 +479,16 @@ class OfflineStructure(QueryTable):
 
     # -- demand-driven repair --------------------------------------------------
 
-    def _push(self, mid: int, diff: _InputDiff) -> None:
-        """Add a vertex diff to node mid's pending one, keeping its prefix
-        mark and the first old value of each stale vertex."""
-        if not (diff.lo or diff.hi or diff.stale):
+    def _push(self, mid: int, lo: set[int], hi: set[int], stale: dict[int, float]) -> None:
+        """Add a vertex diff to node mid's pending one, keeping its delta and
+        the first old value of each stale vertex."""
+        if not (lo or hi or stale):
             return
         old = self.pending.get(mid)
-        if old is not None:
-            diff = _InputDiff(old.lo | diff.lo, old.hi | diff.hi, {**diff.stale, **old.stale}, old.prefix)
-        self.pending[mid] = diff
+        if old is None:
+            self.pending[mid] = _InputDiff(lo, hi, stale, {})
+        else:
+            self.pending[mid] = _InputDiff(old.lo | lo, old.hi | hi, {**stale, **old.stale}, old.delta)
 
     def mark_prefixes(self, first: int, last: int, arrived: int) -> None:
         """Record that each prefix p in [first, last] gained ``arrived`` and
@@ -450,16 +496,26 @@ class OfflineStructure(QueryTable):
         shift pushed out of prefix p); prefixes from m on own no node and
         are skipped.
 
-        Only a node whose stored alive set holds the head of either edge
-        gets the prefix flag on its pending diff: its stored version stays
-        until it is settled, so that is the test settling would make.
+        Each edge whose head node p's stored alive set holds enters the
+        delta of p's pending diff, as gained or lost; an edge it already
+        holds the other way cancels out.  The stored version stays until
+        it is settled, so the alive set tested is the one settling sees.
         """
         head, order, nodes, pending = self.cols.head, self.cols.order, self.nodes, self.pending
-        gained = head[arrived]
+        into = head[arrived]
         for p in range(first, min(last, self.m - 1) + 1):
             alive = nodes[p].alive_estimates
-            if gained in alive or head[order[p]] in alive:
-                pending[p] = pending[p]._replace(prefix=True) if p in pending else _MARK
+            lost = order[p]
+            gains, loses = into in alive, head[lost] in alive
+            if gains or loses:
+                diff = pending.get(p)
+                if diff is None:
+                    diff = pending[p] = _InputDiff(frozenset(), frozenset(), {}, {})
+                delta = diff.delta
+                if gains and delta.pop(arrived, None) is None:
+                    delta[arrived] = True
+                if loses and delta.pop(lost, None) is None:
+                    delta[lost] = False
 
     def _settle(self, lo: int, hi: int, above: list[float], sink: SolveCounters, edges=None):
         """Bring the node covering [lo, hi] up to date; its ancestors must be.
@@ -467,11 +523,11 @@ class OfflineStructure(QueryTable):
         above holds the node's inherited estimates and edges its edge list
         (None: derive it if the node is solved).  A node not yet built is
         solved.  A built node without a pending diff is returned as it is.
-        Otherwise it is re-solved when its prefix is marked, else kept or
-        re-solved as _node_kept decides, and how its estimates and
-        inherited values moved goes to both children's pending diffs.
-        Returns the node and, when it was just solved, its inner list (else
-        None).
+        Otherwise it is kept when _node_kept and _delta_kept both hold, its
+        alive edges updated by the delta on the same node object, and
+        re-solved else; how its estimates and inherited values moved goes
+        to both children's pending diffs.  Returns the node and, when it
+        was just solved, its inner list (else None).
         """
         mid = (lo + hi) // 2
         old = self.nodes[mid]
@@ -482,7 +538,11 @@ class OfflineStructure(QueryTable):
         if diff is None:
             return old, None
         lo_est, hi_est = self._ends(lo, hi)
-        if not diff.prefix and self._node_kept(old, lo_est, hi_est, diff):
+        delta = diff.delta
+        if self._node_kept(old, lo_est, hi_est, diff) and self._delta_kept(old, delta, above):
+            if delta:
+                kept = [eid for eid in old.alive_edges if eid not in delta]
+                old.alive_edges = kept + [eid for eid, gained in delta.items() if gained]
             node, inner, moved = old, None, set()
             sink.nodes_skipped += 1
         else:
@@ -491,8 +551,8 @@ class OfflineStructure(QueryTable):
             moved = _moved_keys(node.alive_estimates, old.alive_estimates)
         if hi - lo > 2:
             stale = _children_stale(diff.stale, above, node.alive_estimates, old.alive_estimates, moved)
-            self._push((lo + mid) // 2, _InputDiff(diff.lo, moved, stale))
-            self._push((mid + hi) // 2, _InputDiff(moved, diff.hi, stale))
+            self._push((lo + mid) // 2, diff.lo, moved, stale)
+            self._push((mid + hi) // 2, moved, diff.hi, stale)
         return node, inner
 
     def _walk(self, lo: int, hi: int, above: list[float], sink: SolveCounters, edges=None) -> None:
@@ -592,7 +652,7 @@ class OfflineStructure(QueryTable):
         for v in moved:
             self._est_m[v] = new[v]
         if moved and self.nodes[self.m // 2] is not None:
-            self._push(self.m // 2, _InputDiff(set(), set(moved), moved))
+            self._push(self.m // 2, set(), set(moved), moved)
             self._base_moved.update(moved)
         return moved
 

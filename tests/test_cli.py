@@ -246,16 +246,49 @@ def test_apsp_online_steps(capsys, t1_file, t1_pred_file, tmp_path):
 #
 # A small generated instance with a window_shuffle(8) prediction.  Each
 # document is hashed as JSON with sorted keys and without its timings.  The
-# online digest also leaves out counters.scan_work, which a change to the
-# edge lists a repair scans may lower; it is capped at its pinned value.
+# online digest pins the answers only: it also leaves out the repair-work
+# fields, which a repair that does less work may lower.  Each is capped at
+# its pinned value; a skipped count is capped with the re-solves beside it,
+# since a node the repair newly keeps moves from one to the other.  Trace
+# rows are capped by their sums over the run.
 
 PINNED_DOCS = {
     "offline": "5281c08899f6375b4f4bab8039bbbcc38cc42e5b5c56a22f82741d0a87541547",
     "apsp-offline": "6a45a174ec4297d2ba721d4eb6df64460235a587cacb9316a06d2b00ed52b7bf",
     "apsp-online": "5bdb9112430299592369e4c77e64eb8ccc94bf19ab51e4a54f26b5663ae5a766",
-    "online": "4300fdf37e03548689749fc01ae89667eacc24591efcc86c813ae26273e7c8d1",
+    "online": "d12be853606beb2d90425a851f4b1ec2284fd96fb9881d32f022caa82b907012",
 }
-PINNED_ONLINE_SCAN_WORK = 11569
+PINNED_ONLINE_WORK = {
+    "nodes_rebuilt": 190,
+    "nodes_settled": 268,  # nodes_rebuilt + nodes_skipped
+    "flush_rebuilt": 33,
+    "flush_settled": 72,  # flush_rebuilt + flush_skipped
+    "rebuilds_by_level": {"1": 2, "2": 2, "3": 9, "4": 7, "5": 20, "6": 35, "7": 54, "8": 61},
+    "alive_edge_work": 6314,
+    "scan_work": 11569,
+    "trace_nodes_rebuilt": 157,
+    "trace_nodes_settled": 196,
+    "trace_rebuilt_span": 2110,  # the summed lengths hi - lo of the rebuilt intervals
+}
+
+
+def _online_work(online: dict) -> dict:
+    """Pop the repair-work fields from an online document, as PINNED_ONLINE_WORK reads them."""
+    c = online["counters"]
+    rows = [{key: row.pop(key) for key in ("nodes_rebuilt", "nodes_skipped", "rebuilt_interval")} for row in online["trace"]]
+    rebuilt, flush_rebuilt = c.pop("nodes_rebuilt"), c.pop("flush_rebuilt")
+    return {
+        "nodes_rebuilt": rebuilt,
+        "nodes_settled": rebuilt + c.pop("nodes_skipped"),
+        "flush_rebuilt": flush_rebuilt,
+        "flush_settled": flush_rebuilt + c.pop("flush_skipped"),
+        "rebuilds_by_level": c.pop("rebuilds_by_level"),
+        "alive_edge_work": c.pop("alive_edge_work"),
+        "scan_work": c.pop("scan_work"),
+        "trace_nodes_rebuilt": sum(row["nodes_rebuilt"] for row in rows),
+        "trace_nodes_settled": sum(row["nodes_rebuilt"] + row["nodes_skipped"] for row in rows),
+        "trace_rebuilt_span": sum(hi - lo for lo, hi in (row["rebuilt_interval"] or (0, 0) for row in rows)),
+    }
 
 
 @pytest.fixture
@@ -290,7 +323,7 @@ def test_cli_documents_are_pinned(capsys, pinned_case):
     ]
     assert [code for code, _ in docs] == [0, 0, 0, 0]
     offline, apsp_offline, apsp_online, online = (doc for _, doc in docs)
-    scan_work = online["counters"].pop("scan_work")
+    work = _online_work(online)
     digests = {
         "offline": _digest(offline),
         "apsp-offline": _digest(apsp_offline),
@@ -298,7 +331,11 @@ def test_cli_documents_are_pinned(capsys, pinned_case):
         "online": _digest(online),
     }
     assert digests == PINNED_DOCS
-    assert scan_work <= PINNED_ONLINE_SCAN_WORK
+    by_level = work.pop("rebuilds_by_level")
+    pinned = dict(PINNED_ONLINE_WORK)
+    assert by_level.keys() == pinned["rebuilds_by_level"].keys()
+    assert all(by_level[level] <= cap for level, cap in pinned.pop("rebuilds_by_level").items())
+    assert all(work[key] <= cap for key, cap in pinned.items())
 
 
 # -- metrics and verify ------------------------------------------------------------

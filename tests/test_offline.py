@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from incsp.bucketing import derive_internal_epsilon
 from incsp.model import UNREACHABLE, parse_instance, prepare_for_build
 from incsp.offline import (
-    _MARK,
+    OfflineStructure,
     SolveCounters,
+    _InputDiff,
     _children_stale,
     _moved_keys,
     build_offline,
@@ -238,13 +239,15 @@ def test_settle_chain_tracks_estimates_at_any_time_order(random_case):
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_flush_of_every_node_scans_what_the_build_scanned(seed):
+def test_flush_of_every_node_scans_what_the_build_scanned(seed, monkeypatch):
     # A flush that re-solves every node repeats the build: each node scans
     # the same edge list, a right child's narrowed to its parent's alive set.
+    # Every node gets an empty diff and fails the keep test.
     padded = prepare_for_build(generate(n=40, m=256, W=10, seed=seed, epsilon=0.5))
     s = build_offline(padded, with_entry_times=False)
     m = s.m
-    s.pending.update(dict.fromkeys(range(1, m), _MARK))
+    monkeypatch.setattr(OfflineStructure, "_node_kept", lambda *args: False)
+    s.pending.update({mid: _InputDiff(set(), set(), {}, {}) for mid in range(1, m)})
     sink = SolveCounters(s.n, m)
     s.flush(sink)
     assert sink.nodes_solved == m - 1

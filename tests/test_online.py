@@ -14,7 +14,7 @@ from incsp.model import (
     parse_instance,
     prepare_for_build,
 )
-from incsp.offline import _MARK, _InputDiff, structures_equal, time_ancestors, time_chain
+from incsp.offline import OfflineStructure, SolveCounters, _InputDiff, structures_equal, time_ancestors, time_chain
 from incsp.online import OnlineEngine, start_online
 from incsp.workload import PerturbationSpec, generate, perturb
 from tests.conftest import T1_ORACLE_ROWS, W4_TEXT, assert_alive_sets_nested, estimate_at, exact_distance_table
@@ -57,61 +57,105 @@ def test_insert_truncating_drops_the_tail(t1_edges):
 # -- prefix marks ---------------------------------------------------------------
 
 
-def _marks_of(s, first, last, arrived):
-    """The midpoints mark_prefixes(first, last, arrived) flags on a clean structure."""
+def _deltas_of(s, first, last, arrived):
+    """The deltas mark_prefixes(first, last, arrived) records on a clean structure."""
     assert not s.pending
     s.mark_prefixes(first, last, arrived)
-    marks = sorted(s.pending)
-    assert all(s.pending[p] is _MARK for p in marks)
+    deltas = {p: diff.delta for p, diff in s.pending.items()}
+    assert not any(diff.lo or diff.hi or diff.stale for diff in s.pending.values())
     s.pending.clear()
-    return marks
+    return deltas
+
+
+def _move_into_prefix(engine, p):
+    """Move the edge at position p + 1 of the timeline to position p, as a
+    mispredicted arrival would, and mark prefix p, which gains it and loses
+    the edge it displaced; returns both edge ids."""
+    s = engine._structure
+    gained, lost = s.cols.order[p], s.cols.order[p - 1]
+    engine.timeline.move_forward(gained, p)
+    s.mark_prefixes(p, p, gained)
+    return gained, lost
+
+
+def _first_touched_prefix(s):
+    """The first midpoint p whose alive set holds the head of the edge at
+    index p - 1 or p, so that _move_into_prefix(engine, p) records a delta."""
+    head, order = s.cols.head, s.cols.order
+    return next(p for p in range(1, s.m - 1) if {head[order[p - 1]], head[order[p]]} & s.nodes[p].alive_estimates.keys())
 
 
 def test_mark_prefixes_examples():
-    # Every midpoint that a full span flags is one whose alive set holds
-    # the head of the arrived edge or of the edge at its index; a narrower
-    # span flags exactly its own part of that set.
+    # A full span records, at each midpoint, the arrived edge as gained and
+    # the edge at its index as lost, each only when the node's alive set
+    # holds its head; a narrower span records exactly its own part.
     engine = start_online(generate(n=8, m=16, W=6, seed=3, epsilon=1.0))
     s, m = engine.structure, engine.m
     cols = s.cols
-    arrived = cols.order[m - 1]
-    everywhere = _marks_of(s, 1, m - 1, arrived)
+    arrived = cols.order[0]
+    everywhere = _deltas_of(s, 1, m - 1, arrived)
     assert everywhere
     for p in range(1, m):
         alive = s.nodes[p].alive_estimates
-        assert (p in everywhere) == (cols.head[arrived] in alive or cols.head[cols.order[p]] in alive)
-    assert _marks_of(s, 4, 7, arrived) == [p for p in everywhere if 4 <= p <= 7]
-    assert _marks_of(s, 5, 4, arrived) == []
+        lost = cols.order[p]
+        expected = {arrived: True} if cols.head[arrived] in alive else {}
+        if cols.head[lost] in alive:
+            expected[lost] = False
+        assert everywhere.get(p) == (expected or None)
+    assert {True, False} <= {gained for delta in everywhere.values() for gained in delta.values()}
+    assert _deltas_of(s, 4, 7, arrived) == {p: d for p, d in everywhere.items() if 4 <= p <= 7}
+    assert _deltas_of(s, 5, 4, arrived) == {}
 
 
 def test_mark_prefixes_clips_to_internal_midpoints():
     # Arriving last with t' = m + 1 jumps over position m, which owns no
-    # node: last = m never reads nodes[m], and a span starting at m marks
+    # node: last = m never reads nodes[m], and a span starting at m records
     # nothing.
     engine = start_online(generate(n=8, m=16, W=6, seed=3, epsilon=1.0))
     s, m = engine.structure, engine.m
     arrived = s.cols.order[0]
     assert len(s.nodes) == m
-    assert _marks_of(s, 1, m, arrived) == _marks_of(s, 1, m - 1, arrived)
-    assert _marks_of(s, m - 1, m, arrived) == _marks_of(s, m - 1, m - 1, arrived)
-    assert _marks_of(s, m, m, arrived) == []
+    assert _deltas_of(s, 1, m, arrived) == _deltas_of(s, 1, m - 1, arrived)
+    assert _deltas_of(s, m - 1, m, arrived) == _deltas_of(s, m - 1, m - 1, arrived)
+    assert _deltas_of(s, m, m, arrived) == {}
 
 
 def test_prefix_mark_and_vertex_diff_share_one_entry():
-    # A node that already holds a vertex diff keeps it when marked, and a
-    # vertex diff merged into a marked entry keeps the mark.
+    # A node that already holds a vertex diff keeps it when its prefix
+    # changes, and a vertex diff merged into an entry keeps its delta.
     engine = start_online(generate(n=8, m=16, W=6, seed=3, epsilon=1.0))
-    s, m = engine.structure, engine.m
-    arrived = s.cols.order[m - 1]
-    p = _marks_of(s, 1, m - 1, arrived)[0]
+    s = engine.structure
+    p = _first_touched_prefix(s)
     v = next(iter(s.nodes[p].alive_estimates))
-    s._push(p, _InputDiff({v}, set(), {}))
-    s.mark_prefixes(p, p, arrived)
-    assert s.pending[p] == _InputDiff({v}, set(), {}, True)
-    s._push(p, _InputDiff(set(), {v}, {}))
-    assert s.pending[p] == _InputDiff({v}, {v}, {}, True)
+    s._push(p, {v}, set(), {})
+    gained, lost = _move_into_prefix(engine, p)
+    alive, head = s.nodes[p].alive_estimates, s.cols.head
+    delta = {e: e == gained for e in (gained, lost) if head[e] in alive}
+    assert delta
+    assert s.pending[p] == _InputDiff({v}, set(), {}, delta)
+    s._push(p, set(), {v}, {})
+    assert s.pending[p] == _InputDiff({v}, {v}, {}, delta)
     engine.flush()
     assert not s.pending
+    assert engine.matches_fresh_build()
+
+
+def test_regained_edge_cancels_out_of_the_delta():
+    # Prefix p loses edge x to y, then regains x from y: the timeline is
+    # back as it was, the delta is empty, and the flush keeps node p.
+    engine = start_online(generate(n=8, m=16, W=6, seed=3, epsilon=1.0))
+    s = engine.structure
+    p = _first_touched_prefix(s)
+    ids, node = s.cols.order[:], s.nodes[p]
+    y, x = _move_into_prefix(engine, p)
+    assert s.pending[p].delta
+    assert _move_into_prefix(engine, p) == (x, y)
+    assert s.cols.order == ids
+    assert s.pending[p] == _InputDiff(frozenset(), frozenset(), {}, {})
+    skipped = engine.counters.sink.nodes_skipped
+    engine.flush()
+    assert s.nodes[p] is node
+    assert engine.counters.sink.nodes_skipped == skipped + 1
     assert engine.matches_fresh_build()
 
 
@@ -266,7 +310,7 @@ def _engine_state(engine, s):
         [column.copy() for column in (cols.head, cols.tail, cols.weight, cols.position, cols.order)],
         s.base_m[:],
         [id(node) for node in s.nodes],
-        dict(s.pending),
+        {mid: diff._replace(delta=dict(diff.delta)) for mid, diff in s.pending.items()},
         dict(engine.counters.case_counts),
         engine.counters.total_jumps,
         engine.counters.nodes_rebuilt,
@@ -481,6 +525,76 @@ def test_D_matches_structure_after_every_arrival(seed, n, m, spec):
     assert_alive_sets_nested(engine.structure)
 
 
+def _checked_delta_kept(kept):
+    """OfflineStructure._delta_kept, checked against a re-solve of each node it keeps.
+
+    The re-solve runs on the same inputs (ends, edge list, inherited
+    estimates), the stored node is put back, and the midpoint is appended
+    to kept.
+    """
+    delta_kept = OfflineStructure._delta_kept
+
+    def checked(self, node, delta, above):
+        if not delta_kept(self, node, delta, above):
+            return False
+        if delta:
+            mid = node.mid
+            lo, hi = mid - (mid & -mid), mid + (mid & -mid)
+            sink = SolveCounters(self.n, self.m)
+            solved, _ = self._solve_node(lo, hi, *self._ends(lo, hi), self._edge_list(lo, hi), above, sink)
+            self.nodes[mid] = node
+            assert solved.alive_estimates == node.alive_estimates
+            gained = {eid for eid, g in delta.items() if g}
+            assert set(solved.alive_edges) == (set(node.alive_edges) - delta.keys()) | gained
+            kept.append(mid)
+        return True
+
+    return checked
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(4, 10),
+    m=st.integers(2, 64),
+    W=st.integers(1, 6),
+    spec=perturbations,
+)
+def test_kept_prefix_deltas_match_a_re_solve(seed, n, m, W, spec):
+    # Each node the delta proof keeps is what _solve_node makes of the same
+    # inputs: equal estimates, and the stored alive edges with the delta
+    # applied.  Small weights make ties at the proof's bounds likely.
+    triples = n * (n - 1) * W
+    assume(m <= triples)
+    inst = generate(n=n, m=m, W=W, seed=seed, epsilon=0.5)
+    if spec.kind == "replace":
+        assume(math.ceil(spec.p * m) <= triples - m)
+    engine = start_online(inst, perturb(inst, spec))
+    kept = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(OfflineStructure, "_delta_kept", _checked_delta_kept(kept))
+        for edge in engine.instance.sigma:
+            engine.insert(edge)
+        engine.flush()
+    assert engine.matches_fresh_build()
+
+
+def test_delta_proof_keeps_nodes_on_every_family():
+    # The proof is exercised: on each family it keeps some node whose
+    # prefix changed, and every one it keeps checks out against a re-solve.
+    for kind, kwargs in FAMILIES:
+        inst = generate(n=16, m=128, W=8, seed=6, epsilon=0.5)
+        padded, engine = _replay(inst, kind, **kwargs)
+        kept = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(OfflineStructure, "_delta_kept", _checked_delta_kept(kept))
+            for edge in padded.sigma:
+                engine.insert(edge)
+            engine.flush()
+        assert kept, kind
+        assert engine.matches_fresh_build()
+
+
 def test_case_counts_partition_the_run():
     inst = generate(n=8, m=16, W=6, seed=17, epsilon=1.0)
     padded, engine = _replay(inst, "replace", p=0.3)
@@ -620,8 +734,9 @@ def test_root_pass_after_base_move_is_pruned():
     # empty (D is base_m), so its diff waits for the flush.  The tree is
     # flushed before every arrival, so the chain's re-solves plus those of
     # the flush after a base move are all that move's diff reaches: fewer
-    # than the tree's m - 1 nodes, and exactly as many as the eager root
-    # pass (a subtree pass at every arrival) re-solved at this seed.
+    # than the tree's m - 1 nodes, and no more than the eager root pass (a
+    # subtree pass at every arrival) re-solved at this seed, [64, 48, 13, 3,
+    # 0], which re-solved every node whose prefix changed.
     inst = generate(n=16, m=128, W=8, seed=4, epsilon=0.5)
     engine = start_online(inst, perturb(inst, PerturbationSpec("replace", seed=4, p=0.05)))
     s = engine.structure
@@ -649,7 +764,8 @@ def test_root_pass_after_base_move_is_pruned():
             assert reached < engine.m - 1
             reach.append(reached)
     assert root_passes == engine.counters.full_rebuilds > 0
-    assert reach == [64, 48, 13, 3, 0]
+    assert reach == [53, 36, 5, 3, 0]
+    assert all(now <= eager for now, eager in zip(reach, [64, 48, 13, 3, 0]))
 
 
 def test_subtree_skip_checks_stale_tails_below_the_top_node():
