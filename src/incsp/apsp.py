@@ -20,18 +20,36 @@ an arrival that leaves the frontier in place adds its endpoints' rows and
 columns and lowers its own entry.  A query (i, j) adds only i's out-row
 and the edges into j, so it costs O(|P|) lookups plus a Dijkstra that
 stops at j.
+
+The per-source builds share only read-only inputs, so build_apsp splits
+them over processes: with k = min(n, usable CPUs) it gives the caller the
+sources range(0, n, k) and each of k - 1 forked children one share
+range(i, n, k).  A child sends back only each source's entry rows and
+SolveCounters, as int64 records over a pipe, and leaves through os._exit;
+the caller decodes the rows onto one list of int objects, so they hold no
+more memory than rows built in-process.  k is 1, and nothing is forked,
+where os.fork is missing, on one usable CPU, or while the caller runs a
+second thread.  The caller's resource usage (ru_maxrss included) leaves
+the children out.  On any failure every child is killed and reaped before
+the error propagates.
 """
 
 from __future__ import annotations
 
+import os
+import signal
+import threading
+import traceback
+from array import array
 from bisect import bisect_right
 from dataclasses import replace
+from typing import BinaryIO, NoReturn
 
 from .bucketing import derive_internal_epsilon, make_table
 from .model import (
     UNREACHABLE, EdgeInsert, ProblemInstance, align_prediction, check_edge, check_prediction, prepare_for_build,
 )
-from .offline import QueryTable, build_offline, dijkstra
+from .offline import QueryTable, SolveCounters, build_offline, dijkstra
 
 
 class ApspStructure:
@@ -59,16 +77,130 @@ def build_apsp(instance: ProblemInstance) -> ApspStructure:
 
     Padding self-loops sit at the instance's nominal source; a self-loop
     never relaxes any distance, so every per-source build may share them.
+    The builds run in k = min(n, _worker_count()) processes, the caller
+    and k - 1 forked children (see the module docstring).
     """
     padded = prepare_for_build(instance)
     table = make_table(derive_internal_epsilon(padded.epsilon), padded.m, padded.n, padded.W)
-    return ApspStructure([_query_table(replace(padded, source=s), table) for s in range(padded.n)], table)
+    n = padded.n
+    k = max(1, min(n, _worker_count()))
+    per_source: list[QueryTable | None] = [None] * n
+    workers: dict[int, BinaryIO] = {}  # pid -> read end of its pipe, until reaped
+    try:
+        for i in range(1, k):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _build_share(w, [r, *(pipe.fileno() for pipe in workers.values())], padded, table, range(i, n, k))
+            workers[pid] = os.fdopen(r, "rb")
+            os.close(w)
+        for s in range(0, n, k):
+            per_source[s] = _query_table(replace(padded, source=s), table)
+        ints = list(range(padded.m + 2))  # every decoded value lies in 0..m+1
+        for i, (pid, pipe) in enumerate(list(workers.items()), 1):
+            for s in range(i, n, k):
+                per_source[s] = _receive(pipe, pid, padded, s, table, ints)
+            pipe.close()
+            _, status = os.waitpid(pid, 0)
+            del workers[pid]
+            if status:
+                raise RuntimeError(f"per-source build worker {pid} ended with wait status {status}")
+    finally:
+        for pid, pipe in workers.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return ApspStructure(per_source, table)
+
+
+def _worker_count() -> int:
+    """Processes build_apsp may use: one per usable CPU.
+
+    1 where os.fork is missing or a second thread runs, since a child
+    forked beside a running thread may inherit a lock it holds and hang.
+    """
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _query_table(instance: ProblemInstance, table) -> QueryTable:
     """One source's build, reduced to its query tables; the tree dies on return."""
     built = build_offline(instance, table=table)
     return QueryTable(built.n, built.m, built.source, table, built.entry_times, built.stats)
+
+
+# A worker's stream holds, per source of its share, _RECORD and that source's
+# record, or _FAILED and a traceback in place of the first record it cannot
+# build.  A record is int64s: the _COUNTS scalars of its SolveCounters,
+# alive_edges_per_node (m), alive_nodes_per_vertex (n), then the n entry rows.
+_RECORD, _FAILED = b"+", b"!"
+_COUNTS = ("nodes_solved", "nodes_skipped", "total_alive_edges", "scan_work")
+
+
+def _build_share(fd: int, inherited: list[int], instance: ProblemInstance, table, sources: range) -> NoReturn:
+    """A forked child's whole life: build sources, write their stream to fd, leave through os._exit.
+
+    The stream is written once the share is built: records written as they
+    came would fill the pipe and stall the child until the caller, busy
+    with its own share, reads.
+    """
+    status = 1
+    try:
+        for other in inherited:
+            os.close(other)
+        stream = bytearray()
+        try:
+            for s in sources:
+                stream += _RECORD + _encode(_query_table(replace(instance, source=s), table))
+        except Exception:
+            stream += _FAILED + traceback.format_exc().encode()
+        with os.fdopen(fd, "wb") as out:
+            out.write(stream)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _encode(query_table: QueryTable) -> bytes:
+    stats = query_table.stats
+    record = array("q", [getattr(stats, name) for name in _COUNTS])
+    record.extend(stats.alive_edges_per_node)
+    record.extend(stats.alive_nodes_per_vertex)
+    for row in query_table.entry_times:
+        record.extend(row)
+    return record.tobytes()
+
+
+def _receive(pipe: BinaryIO, pid: int, instance: ProblemInstance, source: int, table, ints: list[int]) -> QueryTable:
+    """Read one source's record from a worker's stream and rebuild its QueryTable.
+
+    Every list value (an entry time, or a count of a node's alive edges or
+    of a vertex's alive nodes) lies in 0..m+1 and is taken from ints, so
+    the decoded lists share one int object per value.
+    """
+    n, m, width = instance.n, instance.m, len(table.coarse)
+    size = 8 * (len(_COUNTS) + m + n + n * width)
+    tag = pipe.read(1)
+    record = pipe.read(size) if tag == _RECORD else b""
+    if len(record) != size:
+        detail = pipe.read().decode(errors="replace") if tag == _FAILED else "its stream ended early"
+        raise RuntimeError(f"per-source build worker {pid} failed at source {source}: {detail}")
+    values = array("q")
+    values.frombytes(record)
+    shared = ints.__getitem__
+    stats = SolveCounters(n, m)
+    for name, value in zip(_COUNTS, values):
+        setattr(stats, name, value)
+    at = len(_COUNTS)
+    stats.alive_edges_per_node = list(map(shared, values[at : at + m]))
+    at += m
+    stats.alive_nodes_per_vertex = list(map(shared, values[at : at + n]))
+    at += n
+    rows = [list(map(shared, values[at + v * width : at + (v + 1) * width])) for v in range(n)]
+    return QueryTable(n, m, source, table, rows, stats)
 
 
 class OnlineApsp:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 EPSILON_CAP = 1.79
 DEFAULT_FINE_CAP = 10_000_000
@@ -45,6 +45,13 @@ class BucketTable:
     fine: tuple[float, ...]
     coarse: tuple[float, ...]
     k_fine_nominal: int  # ceil(log_{1+delta}(n*W)); the arrays extend further
+    # Query answers by the count c of entry times at or below t: inf for
+    # c = 0, else the c-th coarse value from the top.  Built with the table,
+    # so every structure on it shares the tuple.
+    answers: tuple[float, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "answers", (_INF, *reversed(self.coarse)))
 
     @property
     def k_fine(self) -> int:

@@ -229,14 +229,15 @@ class QueryTable:
     kept), the BucketTable their cells index and the build's SolveCounters.
     Row v lists v's entry times from the coarsest cell to the finest, so
     _answers[c], the answer when c of its entries are at or below t, is
-    UNREACHABLE for c = 0 and the c-th coarse value from the top otherwise.
+    UNREACHABLE for c = 0 and the c-th coarse value from the top otherwise
+    (the table's answers tuple, one for every structure on the table).
     No slots, so a caller may shadow query on an instance (the bench does).
     """
 
     def __init__(self, n, m, source, table: BucketTable, entry_times: list[list[int]] | None, stats):
         self.n, self.m, self.source = n, m, source
         self.table, self.entry_times, self.stats = table, entry_times, stats
-        self._answers = (UNREACHABLE, *reversed(table.coarse))
+        self._answers = table.answers
 
     def _entry_row(self, v: int, t: int) -> list[int] | None:
         """v's entry-time row after argument checks; None for the source."""

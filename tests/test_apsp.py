@@ -1,5 +1,7 @@
 import gc
+import os
 import random
+import threading
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -85,8 +87,9 @@ def test_query_with_cost_stays_logarithmic(t1):
 
 
 def test_build_apsp_keeps_no_tree(monkeypatch):
-    # Each per-source tree must be garbage once build_apsp returns: only
-    # its query tables are kept.
+    # Each per-source tree built in the calling process must be garbage once
+    # build_apsp returns: only its query tables are kept.  Trees a forked
+    # worker builds die with it, so the caller sees only its own share's.
     refs = []
 
     def tracked(*args, **kwargs):
@@ -95,9 +98,82 @@ def test_build_apsp_keeps_no_tree(monkeypatch):
         return structure
 
     monkeypatch.setattr(incsp.apsp, "build_offline", tracked)
-    apsp = build_apsp(generate(n=30, m=256, W=16, seed=7, epsilon=0.5))
-    assert len(refs) == apsp.n == 30
-    assert all(ref() is None for ref in refs)
+    inst = generate(n=30, m=256, W=16, seed=7, epsilon=0.5)
+    for workers in (1, 3):
+        monkeypatch.setattr(incsp.apsp, "_worker_count", lambda: workers)
+        refs.clear()
+        apsp = build_apsp(inst)
+        assert apsp.n == 30
+        assert len(refs) == len(range(0, 30, workers))
+        assert all(ref() is None for ref in refs)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 50])
+@pytest.mark.parametrize("n", [7, 10])
+def test_worker_shares_equal_per_source_builds(monkeypatch, n, workers):
+    # However the sources are split, each one's entry rows and every
+    # SolveCounters field equal its own build_offline's.
+    monkeypatch.setattr(incsp.apsp, "_worker_count", lambda: workers)
+    inst = generate(n=n, m=64, W=8, seed=n, epsilon=0.5)
+    apsp = build_apsp(inst)
+    padded = prepare_for_build(inst)
+    for s, q in enumerate(apsp.per_source):
+        fresh = build_offline(replace(padded, source=s), table=apsp.table)
+        assert (q.n, q.m, q.source, q.table) == (fresh.n, fresh.m, s, apsp.table)
+        assert q.entry_times == fresh.entry_times
+        assert vars(q.stats) == vars(fresh.stats)
+
+
+def test_worker_rows_hold_no_more_than_in_process_rows(monkeypatch):
+    inst = generate(n=30, m=256, W=16, seed=7, epsilon=0.5)
+    monkeypatch.setattr(incsp.apsp, "_worker_count", lambda: 1)
+    in_process = _traced_bytes_held(lambda: build_apsp(inst))
+    monkeypatch.setattr(incsp.apsp, "_worker_count", lambda: 3)
+    assert _traced_bytes_held(lambda: build_apsp(inst)) <= in_process
+
+
+@pytest.mark.parametrize(
+    ("failing", "how", "error"),
+    [(0, "raise", ArithmeticError), (1, "raise", RuntimeError), (1, "exit", RuntimeError)],
+    ids=["caller-share", "worker-share", "worker-dies"],
+)
+def test_failed_build_leaves_no_child(monkeypatch, failing, how, error):
+    # Source 0 is in the caller's share, source 1 in the first worker's.
+    def broken(instance, **kwargs):
+        if instance.source == failing:
+            if how == "exit":
+                os._exit(3)
+            raise ArithmeticError(f"source {failing} fails")
+        return build_offline(instance, **kwargs)
+
+    monkeypatch.setattr(incsp.apsp, "build_offline", broken)
+    monkeypatch.setattr(incsp.apsp, "_worker_count", lambda: 3)
+    with pytest.raises(error, match=f"source {failing} fails" if how == "raise" else "ended early"):
+        build_apsp(generate(n=8, m=32, W=8, seed=1, epsilon=0.5))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity on this platform")
+def test_one_worker_per_usable_cpu():
+    assert incsp.apsp._worker_count() == len(os.sched_getaffinity(0))
+
+
+def test_one_worker_while_another_thread_runs(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked beside a running thread")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert incsp.apsp._worker_count() == 1
+        assert build_apsp(generate(n=6, m=16, W=8, seed=3, epsilon=0.5)).n == 6
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
 
 
 def _traced_bytes_held(build) -> int:
