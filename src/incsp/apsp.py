@@ -24,23 +24,27 @@ stops at j.
 The per-source builds share only read-only inputs, so build_apsp splits
 them over processes: with k = min(n, usable CPUs) it gives the caller the
 sources range(0, n, k) and each of k - 1 forked children one share
-range(i, n, k).  A child sends back only each source's entry rows and
-SolveCounters, as int64 records over a pipe, and leaves through os._exit;
-the caller decodes the rows onto one list of int objects, so they hold no
-more memory than rows built in-process.  k is 1, and nothing is forked,
-where os.fork is missing, on one usable CPU, or while the caller runs a
-second thread.  The caller's resource usage (ru_maxrss included) leaves
-the children out.  On any failure every child is killed and reaped before
-the error propagates.
+range(i, n, k).  A child sends back one pickle per source, its entry rows
+and the fields of its SolveCounters (or a traceback in place of the first
+source it cannot build), over a pipe, and leaves through os._exit.
+Loading these pickles is safe: only the caller's own forked child writes
+them, over an anonymous pipe.  The caller copies every list it loads into
+an exactly sized list that shares one int object per value, so the rows
+hold no more memory than rows built in-process.  k is 1, and nothing is
+forked, where os.fork is missing, on one usable CPU, or while the caller
+runs a second thread.  The caller's resource usage (ru_maxrss included)
+leaves the children out.  On any failure every child is killed and reaped
+before the error propagates.
 """
 
 from __future__ import annotations
 
+import io
 import os
+import pickle
 import signal
 import threading
 import traceback
-from array import array
 from bisect import bisect_right
 from dataclasses import replace
 from typing import BinaryIO, NoReturn
@@ -96,10 +100,10 @@ def build_apsp(instance: ProblemInstance) -> ApspStructure:
             os.close(w)
         for s in range(0, n, k):
             per_source[s] = _query_table(replace(padded, source=s), table)
-        ints = list(range(padded.m + 2))  # every decoded value lies in 0..m+1
+        shared: dict[int, int] = {}  # one int object per value loaded
         for i, (pid, pipe) in enumerate(list(workers.items()), 1):
             for s in range(i, n, k):
-                per_source[s] = _receive(pipe, pid, padded, s, table, ints)
+                per_source[s] = _receive(pipe, pid, padded, s, table, shared)
             pipe.close()
             _, status = os.waitpid(pid, 0)
             del workers[pid]
@@ -132,75 +136,61 @@ def _query_table(instance: ProblemInstance, table) -> QueryTable:
     return QueryTable(built.n, built.m, built.source, table, built.entry_times, built.stats)
 
 
-# A worker's stream holds, per source of its share, _RECORD and that source's
-# record, or _FAILED and a traceback in place of the first record it cannot
-# build.  A record is int64s: the _COUNTS scalars of its SolveCounters,
-# alive_edges_per_node (m), alive_nodes_per_vertex (n), then the n entry rows.
-_RECORD, _FAILED = b"+", b"!"
-_COUNTS = ("nodes_solved", "nodes_skipped", "total_alive_edges", "scan_work")
-
-
 def _build_share(fd: int, inherited: list[int], instance: ProblemInstance, table, sources: range) -> NoReturn:
     """A forked child's whole life: build sources, write their stream to fd, leave through os._exit.
 
-    The stream is written once the share is built: records written as they
-    came would fill the pipe and stall the child until the caller, busy
-    with its own share, reads.
+    The stream holds one pickle per source of the share, its entry rows and
+    vars() of its SolveCounters, or a traceback string in place of the
+    first source the child cannot build.  It is written once the share is
+    built: pickles written as they came would fill the pipe and stall the
+    child until the caller, busy with its own share, reads.
     """
     status = 1
     try:
         for other in inherited:
             os.close(other)
-        stream = bytearray()
+        stream = io.BytesIO()
         try:
             for s in sources:
-                stream += _RECORD + _encode(_query_table(replace(instance, source=s), table))
+                built = _query_table(replace(instance, source=s), table)
+                pickle.dump((built.entry_times, vars(built.stats)), stream)
         except Exception:
-            stream += _FAILED + traceback.format_exc().encode()
+            pickle.dump(traceback.format_exc(), stream)
         with os.fdopen(fd, "wb") as out:
-            out.write(stream)
+            out.write(stream.getbuffer())
         status = 0
     finally:
         os._exit(status)
 
 
-def _encode(query_table: QueryTable) -> bytes:
-    stats = query_table.stats
-    record = array("q", [getattr(stats, name) for name in _COUNTS])
-    record.extend(stats.alive_edges_per_node)
-    record.extend(stats.alive_nodes_per_vertex)
-    for row in query_table.entry_times:
-        record.extend(row)
-    return record.tobytes()
+def _receive(pipe: BinaryIO, pid: int, instance: ProblemInstance, source: int, table, shared: dict) -> QueryTable:
+    """Load one source's pickle from a worker's stream and rebuild its QueryTable.
 
-
-def _receive(pipe: BinaryIO, pid: int, instance: ProblemInstance, source: int, table, ints: list[int]) -> QueryTable:
-    """Read one source's record from a worker's stream and rebuild its QueryTable.
-
-    Every list value (an entry time, or a count of a node's alive edges or
-    of a vertex's alive nodes) lies in 0..m+1 and is taken from ints, so
-    the decoded lists share one int object per value.
+    The pickle is safe to load: the caller's own forked child wrote it to
+    an anonymous pipe.  A traceback string or a stream that ends early
+    raises RuntimeError.  Every list loaded, an entry row or a list field
+    of the SolveCounters, is copied by _exact.
     """
-    n, m, width = instance.n, instance.m, len(table.coarse)
-    size = 8 * (len(_COUNTS) + m + n + n * width)
-    tag = pipe.read(1)
-    record = pipe.read(size) if tag == _RECORD else b""
-    if len(record) != size:
-        detail = pipe.read().decode(errors="replace") if tag == _FAILED else "its stream ended early"
-        raise RuntimeError(f"per-source build worker {pid} failed at source {source}: {detail}")
-    values = array("q")
-    values.frombytes(record)
-    shared = ints.__getitem__
-    stats = SolveCounters(n, m)
-    for name, value in zip(_COUNTS, values):
-        setattr(stats, name, value)
-    at = len(_COUNTS)
-    stats.alive_edges_per_node = list(map(shared, values[at : at + m]))
-    at += m
-    stats.alive_nodes_per_vertex = list(map(shared, values[at : at + n]))
-    at += n
-    rows = [list(map(shared, values[at + v * width : at + (v + 1) * width])) for v in range(n)]
-    return QueryTable(n, m, source, table, rows, stats)
+    try:
+        record = pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):
+        record = "its stream ended early"
+    if isinstance(record, str):
+        raise RuntimeError(f"per-source build worker {pid} failed at source {source}: {record}")
+    rows, fields = record
+    stats = SolveCounters(instance.n, instance.m)
+    for name, value in fields.items():
+        setattr(stats, name, _exact(value, shared) if isinstance(value, list) else value)
+    return QueryTable(instance.n, instance.m, source, table, [_exact(row, shared) for row in rows], stats)
+
+
+def _exact(values: list[int], shared: dict[int, int]) -> list[int]:
+    """values in an exactly sized list whose ints are shared's, one object per value.
+
+    list() of a tuple allocates no spare slots; list(map(...)) and a
+    comprehension grow by appends and over-allocate.
+    """
+    return list(tuple(map(shared.setdefault, values, values)))
 
 
 class OnlineApsp:

@@ -83,13 +83,7 @@ class BucketTable:
         return bisect_left(self.coarse, value)
 
 
-def make_table(
-    epsilon_internal: float,
-    m: int,
-    n: int,
-    W: int,
-    cap: int = DEFAULT_FINE_CAP,
-) -> BucketTable:
+def make_table(epsilon_internal: float, m: int, n: int, W: int) -> BucketTable:
     """Build the grids for a timeline of (power-of-two) length m.
 
     The fine grid must cover not just n*W but the largest estimate the
@@ -106,8 +100,8 @@ def make_table(
     nominal = 0 if limit <= 1 else math.ceil(math.log(limit) / math.log1p(delta))
     cover = limit * (1.0 + epsilon_internal) ** 3
     projected = 0 if cover <= 1 else math.ceil(math.log(cover) / math.log1p(delta))
-    if projected > cap:
-        raise ValueError(f"fine grid would need {projected} thresholds, above the cap {cap}")
+    if projected > DEFAULT_FINE_CAP:
+        raise ValueError(f"fine grid would need {projected} thresholds, above the cap {DEFAULT_FINE_CAP}")
     fine = _grid(1.0 + delta, cover)
     coarse = _grid(1.0 + epsilon_internal, cover)
     while coarse[-1] < fine[-1]:  # coarse cells must exist for every fine point

@@ -126,6 +126,7 @@ def test_worker_shares_equal_per_source_builds(monkeypatch, n, workers):
 
 def test_worker_rows_hold_no_more_than_in_process_rows(monkeypatch):
     inst = generate(n=30, m=256, W=16, seed=7, epsilon=0.5)
+    inst.sigma.columns  # built lazily by the first build; neither measurement may count it
     monkeypatch.setattr(incsp.apsp, "_worker_count", lambda: 1)
     in_process = _traced_bytes_held(lambda: build_apsp(inst))
     monkeypatch.setattr(incsp.apsp, "_worker_count", lambda: 3)
@@ -134,8 +135,8 @@ def test_worker_rows_hold_no_more_than_in_process_rows(monkeypatch):
 
 @pytest.mark.parametrize(
     ("failing", "how", "error"),
-    [(0, "raise", ArithmeticError), (1, "raise", RuntimeError), (1, "exit", RuntimeError)],
-    ids=["caller-share", "worker-share", "worker-dies"],
+    [(0, "raise", ArithmeticError), (1, "raise", RuntimeError), (1, "exit", RuntimeError), (1, "truncate", RuntimeError)],
+    ids=["caller-share", "worker-share", "worker-dies", "worker-truncates"],
 )
 def test_failed_build_leaves_no_child(monkeypatch, failing, how, error):
     # Source 0 is in the caller's share, source 1 in the first worker's.
@@ -143,7 +144,10 @@ def test_failed_build_leaves_no_child(monkeypatch, failing, how, error):
         if instance.source == failing:
             if how == "exit":
                 os._exit(3)
-            raise ArithmeticError(f"source {failing} fails")
+            if how == "truncate":
+                os.fdopen = _HalfWriter  # in this worker only, which never returns
+            else:
+                raise ArithmeticError(f"source {failing} fails")
         return build_offline(instance, **kwargs)
 
     monkeypatch.setattr(incsp.apsp, "build_offline", broken)
@@ -152,6 +156,23 @@ def test_failed_build_leaves_no_child(monkeypatch, failing, how, error):
         build_apsp(generate(n=8, m=32, W=8, seed=1, epsilon=0.5))
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+class _HalfWriter:
+    """Stands in for a worker's os.fdopen(fd, "wb"): writes half its stream to fd, then leaves through os._exit."""
+
+    def __init__(self, fd, mode):
+        self.fd = fd
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return None
+
+    def write(self, data):
+        os.write(self.fd, bytes(data)[: len(data) // 2])
+        os._exit(0)
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity on this platform")

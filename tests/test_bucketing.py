@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import incsp.bucketing
 from incsp.bucketing import BucketTable, derive_internal_epsilon, make_table
 
 
@@ -44,9 +45,10 @@ def test_make_table_rejects_non_power_of_two():
         make_table(0.25, m=1, n=3, W=8)
 
 
-def test_make_table_rejects_oversized_grid():
-    with pytest.raises(ValueError):
-        make_table(0.25, m=4, n=3, W=8, cap=10)
+def test_make_table_rejects_oversized_grid(monkeypatch):
+    monkeypatch.setattr(incsp.bucketing, "DEFAULT_FINE_CAP", 10)
+    with pytest.raises(ValueError, match="above the cap 10"):
+        make_table(0.25, m=4, n=3, W=8)
 
 
 def _delta_half_table():
