@@ -1,7 +1,6 @@
 """Mutation checks: every listed mutant must make its test selection fail.
 
-    python3 scripts/mutants.py               # every mutant
-    python3 scripts/mutants.py -k apsp       # mutants whose name holds "apsp"
+    python3 scripts/mutants.py
 
 Run from anywhere inside the repository.  Each entry names a file under
 src/, an exact old text, the new text that replaces it and a pytest
@@ -19,7 +18,6 @@ dependencies (pytest, hypothesis).
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -160,25 +158,18 @@ def run_tests(src: Path, tests: tuple[str, ...]) -> tuple[int | None, float]:
     return done.returncode, time.perf_counter() - start
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("-k", default="", help="run only the mutants whose name contains this text")
-    args = parser.parse_args(argv)
-    mutants = [mutant for mutant in MUTANTS if args.k in mutant.name]
-    if not mutants:
-        print(f"no mutant name contains {args.k!r}")
-        return 1
-    errors = check_texts(mutants)
+def main() -> int:
+    errors = check_texts(MUTANTS)
     if errors:
         print("\n".join(errors))
         return 1
     failures = 0
-    for tests in dict.fromkeys(mutant.tests for mutant in mutants):
+    for tests in dict.fromkeys(mutant.tests for mutant in MUTANTS):
         status, seconds = run_tests(ROOT / "src", tests)
         print(f"{'ok' if status == 0 else 'FAIL':9} unmutated   {' '.join(tests)} ({seconds:.1f} s, exit {status})")
         failures += status != 0
     with tempfile.TemporaryDirectory(prefix="incsp-mutants-") as tmp:
-        for mutant in mutants:
+        for mutant in MUTANTS:
             src = Path(tmp) / mutant.name
             shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
             path = src / mutant.file
@@ -188,7 +179,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{'killed' if killed else 'SURVIVED':9} {mutant.name} ({seconds:.1f} s, exit {status})")
             failures += not killed
             shutil.rmtree(src)
-    print(f"{len(mutants)} mutants, {failures} failed checks")
+    print(f"{len(MUTANTS)} mutants, {failures} failed checks")
     return 1 if failures else 0
 
 

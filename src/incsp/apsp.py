@@ -25,8 +25,8 @@ The per-source builds share only read-only inputs, so build_apsp splits
 them over processes: with k = min(n, usable CPUs) it gives the caller the
 sources range(0, n, k) and each of k - 1 forked children one share
 range(i, n, k).  A child sends back one pickle per source, its entry rows
-and the fields of its SolveCounters (or a traceback in place of the first
-source it cannot build), over a pipe, and leaves through os._exit.
+and its SolveCounters (or a traceback in place of the first source it
+cannot build), over a pipe, and leaves through os._exit.
 Loading these pickles is safe: only the caller's own forked child writes
 them, over an anonymous pipe.  The caller copies every list it loads into
 an exactly sized list that shares one int object per value, so the rows
@@ -53,7 +53,7 @@ from .bucketing import derive_internal_epsilon, make_table
 from .model import (
     UNREACHABLE, EdgeInsert, ProblemInstance, align_prediction, check_edge, check_prediction, prepare_for_build,
 )
-from .offline import QueryTable, SolveCounters, build_offline, dijkstra
+from .offline import QueryTable, build_offline, dijkstra
 
 
 class ApspStructure:
@@ -140,8 +140,8 @@ def _build_share(fd: int, inherited: list[int], instance: ProblemInstance, table
     """A forked child's whole life: build sources, write their stream to fd, leave through os._exit.
 
     The stream holds one pickle per source of the share, its entry rows and
-    vars() of its SolveCounters, or a traceback string in place of the
-    first source the child cannot build.  It is written once the share is
+    its SolveCounters, or a traceback string in place of the first source
+    the child cannot build.  It is written once the share is
     built: pickles written as they came would fill the pipe and stall the
     child until the caller, busy with its own share, reads.
     """
@@ -153,7 +153,7 @@ def _build_share(fd: int, inherited: list[int], instance: ProblemInstance, table
         try:
             for s in sources:
                 built = _query_table(replace(instance, source=s), table)
-                pickle.dump((built.entry_times, vars(built.stats)), stream)
+                pickle.dump((built.entry_times, built.stats), stream)
         except Exception:
             pickle.dump(traceback.format_exc(), stream)
         with os.fdopen(fd, "wb") as out:
@@ -177,10 +177,10 @@ def _receive(pipe: BinaryIO, pid: int, instance: ProblemInstance, source: int, t
         record = "its stream ended early"
     if isinstance(record, str):
         raise RuntimeError(f"per-source build worker {pid} failed at source {source}: {record}")
-    rows, fields = record
-    stats = SolveCounters(instance.n, instance.m)
-    for name, value in fields.items():
-        setattr(stats, name, _exact(value, shared) if isinstance(value, list) else value)
+    rows, stats = record
+    for name, value in vars(stats).items():
+        if isinstance(value, list):
+            setattr(stats, name, _exact(value, shared))
     return QueryTable(instance.n, instance.m, source, table, [_exact(row, shared) for row in rows], stats)
 
 

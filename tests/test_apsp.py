@@ -145,7 +145,7 @@ def test_failed_build_leaves_no_child(monkeypatch, failing, how, error):
             if how == "exit":
                 os._exit(3)
             if how == "truncate":
-                os.fdopen = _HalfWriter  # in this worker only, which never returns
+                monkeypatch.setattr(os, "fdopen", _HalfWriter)
             else:
                 raise ArithmeticError(f"source {failing} fails")
         return build_offline(instance, **kwargs)
