@@ -83,11 +83,25 @@ MUTANTS = [
         ("tests/test_online.py", "-k", "share_one_entry"),
     ),
     Mutant(
-        "build-apsp-no-kill-and-reap",
+        "build-apsp-pool-left-open",  # the pool is never shut down, so its workers and thread outlive the call
         "incsp/apsp.py",
-        "            os.kill(pid, signal.SIGKILL)\n            os.waitpid(pid, 0)\n",
-        "",
+        "    with pool:\n",
+        "    if True:\n",
         ("tests/test_apsp.py", "-k", "leaves_no_child"),
+    ),
+    Mutant(
+        "build-apsp-shares-swapped",  # share i loaded onto the sources of share k - i
+        "incsp/apsp.py",
+        "for s, record in zip(range(i, n, k), share.result()):",
+        "for s, record in zip(range(k - i, n, k), share.result()):",
+        ("tests/test_apsp.py", "-k", "worker_shares_equal_per_source_builds"),
+    ),
+    Mutant(
+        "build-apsp-pool-imported-at-top",  # every `import incsp` pays for the pool's modules
+        "incsp/apsp.py",
+        "import contextlib\n",
+        "import concurrent.futures.process\nimport contextlib\n",
+        ("tests/test_apsp.py", "-k", "loads_no_pool"),
     ),
     Mutant(
         "apsp-receive-over-allocates",  # the exact-size copy reverted to list(map(...))
@@ -95,14 +109,6 @@ MUTANTS = [
         "return list(tuple(map(shared.setdefault, values, values)))",
         "return list(map(shared.setdefault, values, values))",
         ("tests/test_apsp.py::test_worker_rows_hold_no_more_than_in_process_rows",),
-    ),
-    Mutant(
-        "apsp-receive-unmapped-stream-error",
-        "incsp/apsp.py",
-        "    try:\n        record = pickle.load(pipe)\n"
-        "    except (EOFError, pickle.UnpicklingError):\n        record = \"its stream ended early\"\n",
-        "    record = pickle.load(pipe)\n",
-        ("tests/test_apsp.py", "-k", "worker-truncates"),
     ),
     Mutant(
         "online-apsp-no-frontier-reset",

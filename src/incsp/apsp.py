@@ -21,33 +21,18 @@ columns and lowers its own entry.  A query (i, j) adds only i's out-row
 and the edges into j, so it costs O(|P|) lookups plus a Dijkstra that
 stops at j.
 
-The per-source builds share only read-only inputs, so build_apsp splits
-them over processes: with k = min(n, usable CPUs) it gives the caller the
-sources range(0, n, k) and each of k - 1 forked children one share
-range(i, n, k).  A child sends back one pickle per source, its entry rows
-and its SolveCounters (or a traceback in place of the first source it
-cannot build), over a pipe, and leaves through os._exit.
-Loading these pickles is safe: only the caller's own forked child writes
-them, over an anonymous pipe.  The caller copies every list it loads into
-an exactly sized list that shares one int object per value, so the rows
-hold no more memory than rows built in-process.  k is 1, and nothing is
-forked, where os.fork is missing, on one usable CPU, or while the caller
-runs a second thread.  The caller's resource usage (ru_maxrss included)
-leaves the children out.  On any failure every child is killed and reaped
-before the error propagates.
+build_apsp splits the per-source builds, which share only read-only
+inputs, over a fork-context process pool; its docstring says how.
 """
 
 from __future__ import annotations
 
-import io
+import contextlib
 import os
 import pickle
-import signal
 import threading
-import traceback
 from bisect import bisect_right
 from dataclasses import replace
-from typing import BinaryIO, NoReturn
 
 from .bucketing import derive_internal_epsilon, make_table
 from .model import (
@@ -81,39 +66,43 @@ def build_apsp(instance: ProblemInstance) -> ApspStructure:
 
     Padding self-loops sit at the instance's nominal source; a self-loop
     never relaxes any distance, so every per-source build may share them.
-    The builds run in k = min(n, _worker_count()) processes, the caller
-    and k - 1 forked children (see the module docstring).
+    With k = min(n, _worker_count()) the caller builds range(0, n, k); each
+    of k - 1 fork-context ProcessPoolExecutor workers inherits the padded
+    instance and the table through the pool's initializer (nothing is
+    pickled) and returns range(i, n, k) as one pickle of (entry rows,
+    SolveCounters) per source, safe to load since only the caller's own
+    forked workers write them.  Loaded one at a time into exactly sized
+    lists that share one int object per value, the rows hold no more than
+    rows built in-process.  The pool forks before it starts its thread; k = 1
+    makes no pool and imports none of its modules.  A worker's exception is
+    re-raised as itself (the remote traceback is its __cause__), a dead
+    worker raises BrokenProcessPool (a RuntimeError), and leaving the pool,
+    on return or failure, joins every worker and pool thread.  The caller's
+    ru_maxrss leaves the workers out.
     """
     padded = prepare_for_build(instance)
     table = make_table(derive_internal_epsilon(padded.epsilon), padded.m, padded.n, padded.W)
     n = padded.n
     k = max(1, min(n, _worker_count()))
+    pool = contextlib.nullcontext()
+    if k > 1:
+        # Not at the top: they cost ~1.25 MiB of RSS, and `import incsp` imports this module.
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+        pool = ProcessPoolExecutor(k - 1, get_context("fork"), initializer=_inherit, initargs=(padded, table))
     per_source: list[QueryTable | None] = [None] * n
-    workers: dict[int, BinaryIO] = {}  # pid -> read end of its pipe, until reaped
-    try:
-        for i in range(1, k):
-            r, w = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _build_share(w, [r, *(pipe.fileno() for pipe in workers.values())], padded, table, range(i, n, k))
-            workers[pid] = os.fdopen(r, "rb")
-            os.close(w)
+    with pool:
+        shares = [pool.submit(_build_share, range(i, n, k)) for i in range(1, k)]
         for s in range(0, n, k):
             per_source[s] = _query_table(replace(padded, source=s), table)
         shared: dict[int, int] = {}  # one int object per value loaded
-        for i, (pid, pipe) in enumerate(list(workers.items()), 1):
-            for s in range(i, n, k):
-                per_source[s] = _receive(pipe, pid, padded, s, table, shared)
-            pipe.close()
-            _, status = os.waitpid(pid, 0)
-            del workers[pid]
-            if status:
-                raise RuntimeError(f"per-source build worker {pid} ended with wait status {status}")
-    finally:
-        for pid, pipe in workers.items():
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        for i, share in enumerate(shares, 1):
+            for s, record in zip(range(i, n, k), share.result()):
+                rows, stats = pickle.loads(record)
+                for name, value in vars(stats).items():
+                    if isinstance(value, list):
+                        setattr(stats, name, _exact(value, shared))
+                per_source[s] = QueryTable(n, padded.m, s, table, [_exact(row, shared) for row in rows], stats)
     return ApspStructure(per_source, table)
 
 
@@ -136,60 +125,24 @@ def _query_table(instance: ProblemInstance, table) -> QueryTable:
     return QueryTable(built.n, built.m, built.source, table, built.entry_times, built.stats)
 
 
-def _build_share(fd: int, inherited: list[int], instance: ProblemInstance, table, sources: range) -> NoReturn:
-    """A forked child's whole life: build sources, write their stream to fd, leave through os._exit.
-
-    The stream holds one pickle per source of the share, its entry rows and
-    its SolveCounters, or a traceback string in place of the first source
-    the child cannot build.  It is written once the share is
-    built: pickles written as they came would fill the pipe and stall the
-    child until the caller, busy with its own share, reads.
-    """
-    status = 1
-    try:
-        for other in inherited:
-            os.close(other)
-        stream = io.BytesIO()
-        try:
-            for s in sources:
-                built = _query_table(replace(instance, source=s), table)
-                pickle.dump((built.entry_times, built.stats), stream)
-        except Exception:
-            pickle.dump(traceback.format_exc(), stream)
-        with os.fdopen(fd, "wb") as out:
-            out.write(stream.getbuffer())
-        status = 0
-    finally:
-        os._exit(status)
+_inherited: tuple = ()  # (padded instance, table) in a pool worker, set by _inherit
 
 
-def _receive(pipe: BinaryIO, pid: int, instance: ProblemInstance, source: int, table, shared: dict) -> QueryTable:
-    """Load one source's pickle from a worker's stream and rebuild its QueryTable.
+def _inherit(instance: ProblemInstance, table) -> None:
+    """Pool initializer: keep the inputs a forked worker inherited for _build_share."""
+    global _inherited
+    _inherited = instance, table
 
-    The pickle is safe to load: the caller's own forked child wrote it to
-    an anonymous pipe.  A traceback string or a stream that ends early
-    raises RuntimeError.  Every list loaded, an entry row or a list field
-    of the SolveCounters, is copied by _exact.
-    """
-    try:
-        record = pickle.load(pipe)
-    except (EOFError, pickle.UnpicklingError):
-        record = "its stream ended early"
-    if isinstance(record, str):
-        raise RuntimeError(f"per-source build worker {pid} failed at source {source}: {record}")
-    rows, stats = record
-    for name, value in vars(stats).items():
-        if isinstance(value, list):
-            setattr(stats, name, _exact(value, shared))
-    return QueryTable(instance.n, instance.m, source, table, [_exact(row, shared) for row in rows], stats)
+
+def _build_share(sources: range) -> list[bytes]:
+    """In a pool worker: one pickle of (entry rows, SolveCounters) per source of the share."""
+    instance, table = _inherited
+    built = (_query_table(replace(instance, source=s), table) for s in sources)
+    return [pickle.dumps((q.entry_times, q.stats)) for q in built]
 
 
 def _exact(values: list[int], shared: dict[int, int]) -> list[int]:
-    """values in an exactly sized list whose ints are shared's, one object per value.
-
-    list() of a tuple allocates no spare slots; list(map(...)) and a
-    comprehension grow by appends and over-allocate.
-    """
+    """values in an exactly sized list of shared's ints (list(map(...)) over-allocates; list() of a tuple does not)."""
     return list(tuple(map(shared.setdefault, values, values)))
 
 

@@ -1,9 +1,12 @@
 import gc
 import os
 import random
+import subprocess
+import sys
 import threading
 import tracemalloc
 import weakref
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import pytest
@@ -126,7 +129,10 @@ def test_worker_shares_equal_per_source_builds(monkeypatch, n, workers):
 
 def test_worker_rows_hold_no_more_than_in_process_rows(monkeypatch):
     inst = generate(n=30, m=256, W=16, seed=7, epsilon=0.5)
-    inst.sigma.columns  # built lazily by the first build; neither measurement may count it
+    # A first pool build loads the pool's modules and the timeline's lazily
+    # built columns; neither measurement may count them.
+    monkeypatch.setattr(incsp.apsp, "_worker_count", lambda: 3)
+    build_apsp(inst)
     monkeypatch.setattr(incsp.apsp, "_worker_count", lambda: 1)
     in_process = _traced_bytes_held(lambda: build_apsp(inst))
     monkeypatch.setattr(incsp.apsp, "_worker_count", lambda: 3)
@@ -134,45 +140,40 @@ def test_worker_rows_hold_no_more_than_in_process_rows(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    ("failing", "how", "error"),
-    [(0, "raise", ArithmeticError), (1, "raise", RuntimeError), (1, "exit", RuntimeError), (1, "truncate", RuntimeError)],
-    ids=["caller-share", "worker-share", "worker-dies", "worker-truncates"],
+    ("failing", "how", "error", "match"),
+    [(0, "raise", ArithmeticError, "source 0 fails"), (1, "raise", ArithmeticError, "source 1 fails"),
+     (1, "exit", BrokenProcessPool, None)],
+    ids=["caller-share", "worker-share", "worker-dies"],
 )
-def test_failed_build_leaves_no_child(monkeypatch, failing, how, error):
-    # Source 0 is in the caller's share, source 1 in the first worker's.
+def test_failed_build_leaves_no_child(monkeypatch, failing, how, error, match):
+    # Source 0 is in the caller's share, source 1 in the first worker's.  A
+    # pool thread left running would make _worker_count() return 1 and so
+    # quietly serialise every later build.
     def broken(instance, **kwargs):
         if instance.source == failing:
             if how == "exit":
                 os._exit(3)
-            if how == "truncate":
-                monkeypatch.setattr(os, "fdopen", _HalfWriter)
-            else:
-                raise ArithmeticError(f"source {failing} fails")
+            raise ArithmeticError(f"source {failing} fails")
         return build_offline(instance, **kwargs)
 
     monkeypatch.setattr(incsp.apsp, "build_offline", broken)
     monkeypatch.setattr(incsp.apsp, "_worker_count", lambda: 3)
-    with pytest.raises(error, match=f"source {failing} fails" if how == "raise" else "ended early"):
+    with pytest.raises(error, match=match):
         build_apsp(generate(n=8, m=32, W=8, seed=1, epsilon=0.5))
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    assert threading.active_count() == 1
 
 
-class _HalfWriter:
-    """Stands in for a worker's os.fdopen(fd, "wb"): writes half its stream to fd, then leaves through os._exit."""
-
-    def __init__(self, fd, mode):
-        self.fd = fd
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        return None
-
-    def write(self, data):
-        os.write(self.fd, bytes(data)[: len(data) // 2])
-        os._exit(0)
+def test_one_worker_build_loads_no_pool():
+    # A fresh interpreter, since this one may have loaded the pool already.
+    code = (
+        "import sys, incsp, incsp.apsp\n"
+        "incsp.apsp._worker_count = lambda: 1\n"
+        "incsp.build_apsp(incsp.generate(n=6, m=16, W=8, seed=3, epsilon=0.5))\n"
+        "sys.exit('concurrent.futures.process' in sys.modules)\n"
+    )
+    subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)), check=True)
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity on this platform")
