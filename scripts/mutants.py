@@ -120,7 +120,7 @@ MUTANTS = [
     Mutant(
         "online-apsp-no-own-edge-weight",
         "incsp/apsp.py",
-        "            graph[e.tail][e.head] = e.weight\n",
+        "            graph[e.tail].append((e.head, e.weight))\n",
         "            pass\n",
         ("tests/test_apsp.py", "-k", "cached_patch"),
     ),
@@ -132,11 +132,25 @@ MUTANTS = [
         ("tests/test_apsp.py", "-k", "cached_patch"),
     ),
     Mutant(
-        "online-apsp-j-left-out-of-i-row",
+        "online-apsp-no-direct-bound",  # i outside P loses its direct edge into j outside P
         "incsp/apsp.py",
-        "heads = graph if j in graph else (*graph, j)",
-        "heads = graph",
+        "            bound = out.query(j, f)\n",
+        "            bound = UNREACHABLE\n",
         ("tests/test_apsp.py", "-k", "cached_patch"),
+    ),
+    Mutant(
+        "online-apsp-no-last-hop",  # j outside P is reached only by the direct bound
+        "incsp/apsp.py",
+        "last_hop = lambda u: tables[u].query(j, f)",
+        "last_hop = lambda u: UNREACHABLE",
+        ("tests/test_apsp.py", "-k", "cached_patch"),
+    ),
+    Mutant(
+        "dijkstra-no-push-filter",  # the same answers and lookups, but labels that cannot win are pushed
+        "incsp/offline.py",
+        "            if nd < best and nd < dist.get(v, UNREACHABLE):\n",
+        "            if nd < dist.get(v, UNREACHABLE):\n",
+        ("tests/test_apsp.py", "-k", "work_is_capped"),
     ),
 ]
 

@@ -12,14 +12,17 @@ edges (at most the maximum displacement of the permutation).
 
 The per-source structures never change after the build, so an online patch
 lookup depends only on (u, v, frontier) and is one per-source query.
-`OnlineApsp` caches one thing, the patch graph: the min-weight adjacency
-among the pending edges' endpoints P (at most |P|(|P|-1) entries,
-|P| <= 2 * pending edges), valid for one frontier and dropped when an
-arrival advances it.  The first query after a frontier advance builds it;
-an arrival that leaves the frontier in place adds its endpoints' rows and
-columns and lowers its own entry.  A query (i, j) adds only i's out-row
-and the edges into j, so it costs O(|P|) lookups plus a Dijkstra that
-stops at j.
+`OnlineApsp` caches one thing, the patch graph: the adjacency among the
+pending edges' endpoints P (a lookup for each of the |P|(|P|-1) ordered
+pairs where finite, |P| <= 2 * pending edges, plus the pending edges
+themselves), valid for one frontier and dropped when an arrival advances
+it.  The first query after a frontier advance builds it; an arrival that
+leaves the frontier in place adds its endpoints' rows and columns and its
+own edge.  A query (i, j) copies nothing: it runs the engine's one
+Dijkstra on the cached graph, seeded from i's out-row and bounded by the
+direct lookup when i is outside P, reading the last hop into j only from
+vertices it settles, and stopping once no label can beat the best answer.
+So it costs at most |P| lookups for i's row plus one per settled vertex.
 
 build_apsp splits the per-source builds, which share only read-only
 inputs, over a fork-context process pool; its docstring says how.
@@ -152,9 +155,10 @@ class OnlineApsp:
     The prediction's edges are checked like arrivals, and it must hold
     exactly the true edge ids, each with its true triple.
 
-    One cache makes repeated queries cheap: `_graph[u][v]` holds the patch
-    graph, min(`apsp.per_source[u].query(v, frontier)`, pending u->v
-    weights) for u != v in P, the pending edges' endpoints, where finite.
+    One cache makes repeated queries cheap: `_graph[u]` lists the patch
+    graph's (v, weight) pairs out of u in P, the pending edges' endpoints:
+    `apsp.per_source[u].query(v, frontier)` for each v != u in P where
+    finite, then each pending u->v edge (the search takes the least).
     The first query after a frontier advance builds it, an arrival that
     leaves the frontier where it was extends it in place, and one that
     advances the frontier drops it.  A rejected arrival leaves it alone.
@@ -221,20 +225,25 @@ class OnlineApsp:
         return [self.prediction[p - 1] for p in self._arrived_positions[i:]]
 
     def _add_pending(self, e: EdgeInsert) -> None:
-        """Grow the patch graph by one pending edge: new endpoint rows and columns, then its weight."""
+        """Grow the patch graph by one pending edge: new endpoint rows and columns, then the edge itself."""
         graph, tables, f = self._graph, self.apsp.per_source, self.frontier
         for x in (e.tail, e.head):
             if x not in graph:
                 for u, row in graph.items():
                     if (w := tables[u].query(x, f)) != UNREACHABLE:
-                        row[x] = w
+                        row.append((x, w))
                 out = tables[x]
-                graph[x] = {v: w for v in graph if (w := out.query(v, f)) != UNREACHABLE}
-        if e.tail != e.head and e.weight < graph[e.tail].get(e.head, UNREACHABLE):
-            graph[e.tail][e.head] = e.weight
+                graph[x] = [(v, w) for v in graph if (w := out.query(v, f)) != UNREACHABLE]
+        if e.tail != e.head:
+            graph[e.tail].append((e.head, e.weight))
 
     def query(self, i: int, j: int) -> float:
-        """Approximate i-to-j distance over exactly the arrived edges."""
+        """Approximate i-to-j distance over exactly the arrived edges.
+
+        A seeded, bounded Dijkstra over the cached patch graph: it reads
+        T_u(j) = `apsp.per_source[u].query(j, frontier)` only for the
+        vertices u it settles below the best answer so far.
+        """
         if not (0 <= i < self.n and 0 <= j < self.n):
             raise ValueError("vertex id out of range")
         if i == j:
@@ -246,15 +255,17 @@ class OnlineApsp:
                 self._add_pending(e)
         graph, tables, f = self._graph, self.apsp.per_source, self.frontier
         self.last_patch_vertices = len(graph) + (i not in graph) + (j not in graph)
-        # Outside P, only i's out-row and the edges into j are added: j's
-        # out-edges and the edges into i cannot lower dist[j].
-        adj = {u: row.items() for u, row in graph.items()}
+        # Outside P, i enters only through its out-row (the direct T_i(j)
+        # bounds the search, the entries below it seed it) and j only through
+        # the last hop, read when a vertex settles: j's out-edges and the
+        # edges into i cannot lower the answer.
+        seeds, bound = {i: 0}, UNREACHABLE
         if i not in graph:
-            heads = graph if j in graph else (*graph, j)
             out = tables[i]
-            adj[i] = [(v, w) for v in heads if (w := out.query(v, f)) != UNREACHABLE]
-        if j not in graph:
-            for u in graph:
-                if (w := tables[u].query(j, f)) != UNREACHABLE:
-                    adj[u] = [*adj[u], (j, w)]
-        return dijkstra(adj, i, j).get(j, UNREACHABLE)
+            bound = out.query(j, f)
+            seeds = {v: w for v in graph if (w := out.query(v, f)) < bound}
+        if j in graph:
+            last_hop = lambda u: 0 if u == j else UNREACHABLE  # the search stops when j settles
+        else:
+            last_hop = lambda u: tables[u].query(j, f)
+        return dijkstra(graph, seeds, bound, last_hop)

@@ -6,10 +6,10 @@ is alive at both interval ends and its estimates there differ; everything
 else is *dead* and silently keeps the estimate of its nearest alive
 ancestor.  Distances at mid come from one Dijkstra over a patch graph:
 alive edges between alive vertices are copied, and alive edges whose tail
-is dead are folded into source edges weighted by the tail's settled
-estimate plus the edge weight.  Results are rounded up onto the fine grid,
-so a vertex can only be alive where its rounded estimate actually moves,
-which keeps the total alive work near-linear.
+is dead are folded into the search's seeded start labels, the tail's
+settled estimate plus the edge weight.  Results are rounded up onto the
+fine grid, so a vertex can only be alive where its rounded estimate
+actually moves, which keeps the total alive work near-linear.
 
 Anchors: time m stores exact distances over the full timeline, time 0 is
 implicit (0 at the source, unreachable elsewhere).  One end of every
@@ -76,7 +76,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from itertools import chain
 from typing import NamedTuple
 
@@ -199,29 +199,36 @@ class SolveCounters:
         self.scan_work += scanned
 
 
-def dijkstra(adj, source: int, target: int | None = None) -> dict[int, float]:
-    """Heap Dijkstra from source; distances of the reached vertices only.
+def dijkstra(adj, seeds: dict[int, float], bound: float = UNREACHABLE, last_hop=None):
+    """Heap Dijkstra from the seeded labels {vertex: label}.
 
-    adj[u] lists (head, weight) pairs and must exist for every reachable u
-    other than target, so a list of lists or a dict keyed by the patch
-    vertices both work.  Integer weights give integer distances.  With a
-    target, the search stops when it pops target: dist[target] is final
-    (and absent if target is unreachable), other entries may be too high.
+    adj[u] yields (head, weight) pairs and must exist for every reachable
+    u, so a list of lists or a dict keyed by the patch vertices both work.
+    Integer weights and labels give integer distances.  Without last_hop,
+    returns the distances of the reached vertices.  With it, returns the
+    least label of a target outside adj, which each settled u reaches by
+    an edge of weight last_hop(u), or bound when no label is lower; it
+    pushes no label at or above the best so far and stops once the next
+    popped label reaches it.
     """
-    dist = {source: 0}
-    heap = [(0, source)]
+    dist = dict(seeds)
+    heap = [(d, v) for v, d in dist.items()]
+    heapify(heap)
+    best = bound
     while heap:
         d, u = heappop(heap)
+        if d >= best:
+            break
         if d > dist[u]:
             continue
-        if u == target:
-            break
+        if last_hop is not None and (nd := d + last_hop(u)) < best:
+            best = nd
         for v, w in adj[u]:
             nd = d + w
-            if nd < dist.get(v, UNREACHABLE):
+            if nd < best and nd < dist.get(v, UNREACHABLE):
                 dist[v] = nd
                 heappush(heap, (nd, v))
-    return dist
+    return dist if last_hop is None else best
 
 
 class QueryTable:
@@ -337,13 +344,11 @@ class OfflineStructure(QueryTable):
         inner = [eid for eid, v in zip(edges_hi, heads) if v in alive_set]
         alive_edges = [eid for eid in inner if pos[eid] <= mid]
 
-        # Patch graph: alive tails copy their edge, dead tails fold into the
-        # source using their settled estimate at mid (resolved strictly above
-        # this node; the node itself is being recomputed).
-        src = self.source
+        # Patch graph: alive tails copy their edge, dead tails fold into
+        # seeded labels using their settled estimate at mid (resolved strictly
+        # above this node; the node itself is being recomputed).
         adj: dict[int, list[tuple[int, float]]] = {v: [] for v in alive_set}
-        adj.setdefault(src, [])
-        best_from_source: dict[int, float] = {}
+        seeds: dict[int, float] = {}
         for eid in alive_edges:
             u = tail_of[eid]
             if u in alive_set:
@@ -354,12 +359,10 @@ class OfflineStructure(QueryTable):
                 continue
             length = du + weight_of[eid]
             v = head_of[eid]
-            if length < best_from_source.get(v, UNREACHABLE):
-                best_from_source[v] = length
-        for v, length in best_from_source.items():
-            adj[src].append((v, length))
+            if length < seeds.get(v, UNREACHABLE):
+                seeds[v] = length
 
-        dist = dijkstra(adj, src)
+        dist = dijkstra(adj, seeds)
         round_up = self.table.round_up_value
         node = RecursionNode(mid, {v: round_up(dist.get(v, UNREACHABLE)) for v in alive_set}, alive_edges)
         self.nodes[mid] = node
@@ -646,7 +649,7 @@ class OfflineStructure(QueryTable):
         adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
         for eid in cols.order:
             adj[tail[eid]].append((head[eid], weight[eid]))
-        dist = dijkstra(adj, self.source)
+        dist = dijkstra(adj, {self.source: 0})
         new = [dist.get(v, UNREACHABLE) for v in range(self.n)]
         moved = {v: old for v, (old, value) in enumerate(zip(self.base_m, new)) if old != value}
         self.base_m = new

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 import incsp.apsp
+import incsp.offline
 from incsp.apsp import OnlineApsp, build_apsp
 from incsp.bucketing import derive_internal_epsilon, make_table
 from incsp.metrics import compute_profile
@@ -428,7 +429,7 @@ def _rebuilt_patch_query(online, i, j):
                 w = dw
             if w != UNREACHABLE:
                 adj[u].append((v, w))
-    return dijkstra(adj, i).get(j, UNREACHABLE), len(verts)
+    return dijkstra(adj, {i: 0}).get(j, UNREACHABLE), len(verts)  # unpruned: the full search
 
 
 def _bad_arrivals(edge, n, W):
@@ -490,6 +491,40 @@ def test_cached_patch_queries_match_rebuilt_patch(kind, seed):
     assert stalled >= 8
     assert {(True, True, False), (True, False, False), (False, True, False), (False, False, False)} <= seen
     assert {(True, True, True), (False, False, True)} & seen
+
+
+# The patched queries' work on one fixed replay.  Both counts are exact for
+# the seed, so the caps carry no timing noise; a change that does more work
+# per query must raise them on purpose.
+QUERY_LOOKUPS_CAP = 152_835  # per-source query calls
+QUERY_PUSHES_CAP = 30_207  # Dijkstra heap pushes
+
+
+def test_patched_query_work_is_capped(monkeypatch):
+    # n=60 m=1024 window_shuffle(16) at seed 7, then 8 seeded query(i, j), i != j, after each arrival
+    inst = generate(n=60, m=1024, W=16, seed=7, epsilon=0.5)
+    online = OnlineApsp(inst, perturb(inst, PerturbationSpec("window_shuffle", seed=7, k=16)))
+    counts = {"lookups": 0, "pushes": 0}
+
+    def counted(name, call):
+        def wrapper(*args):
+            counts[name] += 1
+            return call(*args)
+        return wrapper
+
+    for table in online.apsp.per_source:  # shadowed on the instance, as the bench does
+        table.query = counted("lookups", table.query)
+    monkeypatch.setattr(incsp.offline, "heappush", counted("pushes", incsp.offline.heappush))
+    rng = random.Random(7)
+    n = online.n
+    for edge in list(online.instance.sigma):
+        online.insert(edge)
+        for _ in range(8):
+            i, j = rng.randrange(n), rng.randrange(n - 1)
+            online.query(i, j + (j >= i))
+    print(f"patched queries: {counts['lookups']} lookups, {counts['pushes']} heap pushes")
+    assert counts["lookups"] <= QUERY_LOOKUPS_CAP
+    assert counts["pushes"] <= QUERY_PUSHES_CAP
 
 
 # -- online correctness and patch bounds ---------------------------------------------

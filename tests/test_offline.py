@@ -429,22 +429,34 @@ def test_internal_epsilon_used(t1_structure, t1_padded):
 _weights = st.one_of(st.integers(0, 5), st.floats(0, 5, allow_nan=False, allow_infinity=False))
 
 
-@settings(max_examples=80, deadline=None)
-@example((3, [(0, 1, 0.0), (1, 0, 2)], 0, 2))  # unreachable target
-@example((2, [(0, 1, 1), (1, 0, 0)], 1, 1))  # target == source
+_labels = st.one_of(_weights, st.just(UNREACHABLE))
+
+
+@settings(max_examples=150, deadline=None)
+@example((3, [(0, 1, 0.0), (1, 0, 2)], {0: 0}, [UNREACHABLE] * 3, UNREACHABLE))  # unreachable target
+@example((2, [(0, 1, 1)], {}, [0, 0], 4))  # no seeds: the bound is the answer
+@example((2, [(1, 0, 0.0)], {1: 3}, [2, 2], UNREACHABLE))  # equal labels, int and float: the first settled wins
 @given(st.integers(1, 7).flatmap(lambda n: st.tuples(
     st.just(n),
     st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), _weights), max_size=20),
-    st.integers(0, n - 1),
-    st.integers(0, n - 1),
+    st.dictionaries(st.integers(0, n - 1), _weights, max_size=n),
+    st.lists(_labels, min_size=n, max_size=n),
+    _labels,
 )))
-def test_dijkstra_target_stops_with_the_full_answer(case):
-    # float and zero weights, target == source and unreachable targets included
-    n, edges, source, target = case
+def test_dijkstra_seeds_and_last_hop_match_a_synthetic_source_and_target(case):
+    # int, float and zero weights; empty seeds, unreachable targets and finite bounds included
+    n, edges, seeds, hops, bound = case
     adj = [[] for _ in range(n)]
     for u, v, w in edges:
         adj[u].append((v, w))
-    full = dijkstra(adj, source)
-    early = dijkstra(adj, source, target)
-    assert repr(early.get(target)) == repr(full.get(target))
-    assert all(early[v] >= full[v] for v in early)
+    # Vertex n is a synthetic source with an edge to each seed and one of
+    # weight bound to n + 1, the target each u reaches by an edge of weight
+    # hops[u] (an infinite weight relaxes nothing).
+    source, target = n, n + 1
+    synthetic = [row + [(target, h)] for row, h in zip(adj, hops)] + [[*seeds.items(), (target, bound)], []]
+    full = dijkstra(synthetic, {source: 0})
+    seeded = dijkstra(adj, seeds)
+    assert {v: repr(d) for v, d in seeded.items()} == {v: repr(d) for v, d in full.items() if v < n}
+    got = dijkstra(adj, seeds, bound, hops.__getitem__)
+    assert repr(got) == repr(full.get(target, UNREACHABLE))
+    assert got == min([bound, *(seeded[u] + hops[u] for u in seeded)])
