@@ -134,16 +134,31 @@ MUTANTS = [
     Mutant(
         "online-apsp-no-direct-bound",  # i outside P loses its direct edge into j outside P
         "incsp/apsp.py",
-        "            bound = out.query(j, f)\n",
+        "            bound = out[j]\n",
         "            bound = UNREACHABLE\n",
         ("tests/test_apsp.py", "-k", "cached_patch"),
     ),
     Mutant(
         "online-apsp-no-last-hop",  # j outside P is reached only by the direct bound
         "incsp/apsp.py",
-        "last_hop = lambda u: tables[u].query(j, f)",
+        "last_hop = lambda u: at[u][j]",
         "last_hop = lambda u: UNREACHABLE",
         ("tests/test_apsp.py", "-k", "cached_patch"),
+    ),
+    Mutant(
+        "online-apsp-advance-stops-short",  # the answers that change at the new frontier itself keep their old value
+        "incsp/apsp.py",
+        "            for t in range(old_frontier + 1, f + 1):\n",
+        "            for t in range(old_frontier + 1, f):\n",
+        ("tests/test_apsp.py::test_answer_matrix_follows_the_frontier",),
+    ),
+    Mutant(
+        "online-apsp-change-list-drops-a-last-time",  # T_1(0) never takes its final value
+        "incsp/apsp.py",
+        "                        self._changes[t].append(x * n + v)\n",
+        "                        if (x, v) != (1, 0) or t < max(u for u in row if u <= m):\n"
+        "                            self._changes[t].append(x * n + v)\n",
+        ("tests/test_apsp.py::test_answer_matrix_follows_the_frontier",),
     ),
     Mutant(
         "dijkstra-no-push-filter",  # the same answers and lookups, but labels that cannot win are pushed

@@ -11,18 +11,21 @@ whose size is bounded by the count of arrived-but-not-yet-frontier-covered
 edges (at most the maximum displacement of the permutation).
 
 The per-source structures never change after the build, so an online patch
-lookup depends only on (u, v, frontier) and is one per-source query.
-`OnlineApsp` caches one thing, the patch graph: the adjacency among the
-pending edges' endpoints P (a lookup for each of the |P|(|P|-1) ordered
-pairs where finite, |P| <= 2 * pending edges, plus the pending edges
-themselves), valid for one frontier and dropped when an arrival advances
-it.  The first query after a frontier advance builds it; an arrival that
-leaves the frontier in place adds its endpoints' rows and columns and its
-own edge.  A query (i, j) copies nothing: it runs the engine's one
-Dijkstra on the cached graph, seeded from i's out-row and bounded by the
-direct lookup when i is outside P, reading the last hop into j only from
-vertices it settles, and stopping once no label can beat the best answer.
-So it costs at most |P| lookups for i's row plus one per settled vertex.
+lookup T_u(v) depends only on (u, v, frontier), and it changes only at the
+distinct times of row v of source u.  `OnlineApsp` keeps two things.  The
+answer matrix holds T_u(v) at the frontier for every pair; an arrival that
+advances the frontier re-reads, with one per-source query each, just the
+answers whose rows hold a time it passed.  The patch graph is the
+adjacency among the pending edges' endpoints P (a matrix entry for each of
+the |P|(|P|-1) ordered pairs where finite, |P| <= 2 * pending edges, plus
+the pending edges themselves), valid for one frontier and dropped when an
+arrival advances it.  The first query after a frontier advance builds it;
+an arrival that leaves the frontier in place adds its endpoints' rows and
+columns and its own edge.  A query (i, j) copies nothing and makes no
+per-source query: it runs the engine's one Dijkstra on the cached graph,
+seeded from i's matrix row and bounded by T_i(j) when i is outside P,
+reading the last hop into j only for vertices it settles, and stopping
+once no label can beat the best answer.
 
 build_apsp splits the per-source builds, which share only read-only
 inputs, over a fork-context process pool; its docstring says how.
@@ -34,6 +37,7 @@ import contextlib
 import os
 import pickle
 import threading
+from array import array
 from bisect import bisect_right
 from dataclasses import replace
 
@@ -155,13 +159,16 @@ class OnlineApsp:
     The prediction's edges are checked like arrivals, and it must hold
     exactly the true edge ids, each with its true triple.
 
-    One cache makes repeated queries cheap: `_graph[u]` lists the patch
+    `_at[u][v]` is `apsp.per_source[u].query(v, frontier)` for every pair;
+    an arrival that advances the frontier re-reads the entries that change
+    at the times it passes (listed per time in `_changes`), so queries read
+    the matrix and make no per-source query.  `_graph[u]` lists the patch
     graph's (v, weight) pairs out of u in P, the pending edges' endpoints:
-    `apsp.per_source[u].query(v, frontier)` for each v != u in P where
-    finite, then each pending u->v edge (the search takes the least).
-    The first query after a frontier advance builds it, an arrival that
-    leaves the frontier where it was extends it in place, and one that
-    advances the frontier drops it.  A rejected arrival leaves it alone.
+    `_at[u][v]` for each v != u in P where finite, then each pending u->v
+    edge (the search takes the least).  The first query after a frontier
+    advance builds it, an arrival that leaves the frontier where it was
+    extends it in place, and one that advances the frontier drops it.  A
+    rejected arrival leaves both alone.
     """
 
     def __init__(self, instance: ProblemInstance, prediction_edges: list[EdgeInsert]):
@@ -182,7 +189,17 @@ class OnlineApsp:
         self.frontier_advances = 0
         self.insert_comparisons = 0
         self.last_patch_vertices = 0
-        self._graph: dict[int, dict[int, float]] | None = None
+        self._graph: dict[int, list[tuple[int, float]]] | None = None
+        n, m, tables = self.n, self.m, self.apsp.per_source
+        # T_x(v) changes only at the distinct times of row v of source x:
+        # _changes[t] holds the codes x * n + v of the answers that change at t.
+        self._changes = [array("I") for _ in range(m + 1)]
+        for x, table in enumerate(tables):
+            for v, row in enumerate(table.entry_times):
+                for t in set(row):
+                    if 0 < t <= m:
+                        self._changes[t].append(x * n + v)
+        self._at = [[table.query(v, 0) for v in range(n)] for table in tables]
 
     def insert(self, edge: EdgeInsert) -> None:
         """Record one true arrival; a rejected arrival leaves the engine unchanged."""
@@ -215,6 +232,11 @@ class OnlineApsp:
             self.frontier_advances += 1
         if self.frontier != old_frontier:
             self._graph = None
+            at, tables, f, n = self._at, self.apsp.per_source, self.frontier, self.n
+            for t in range(old_frontier + 1, f + 1):
+                for code in self._changes[t]:
+                    x, v = divmod(code, n)
+                    at[x][v] = tables[x].query(v, f)
         elif self._graph is not None:
             self._add_pending(edge)
         self.t += 1
@@ -226,14 +248,14 @@ class OnlineApsp:
 
     def _add_pending(self, e: EdgeInsert) -> None:
         """Grow the patch graph by one pending edge: new endpoint rows and columns, then the edge itself."""
-        graph, tables, f = self._graph, self.apsp.per_source, self.frontier
+        graph, at = self._graph, self._at
         for x in (e.tail, e.head):
             if x not in graph:
                 for u, row in graph.items():
-                    if (w := tables[u].query(x, f)) != UNREACHABLE:
+                    if (w := at[u][x]) != UNREACHABLE:
                         row.append((x, w))
-                out = tables[x]
-                graph[x] = [(v, w) for v in graph if (w := out.query(v, f)) != UNREACHABLE]
+                out = at[x]
+                graph[x] = [(v, w) for v in graph if (w := out[v]) != UNREACHABLE]
         if e.tail != e.head:
             graph[e.tail].append((e.head, e.weight))
 
@@ -241,8 +263,8 @@ class OnlineApsp:
         """Approximate i-to-j distance over exactly the arrived edges.
 
         A seeded, bounded Dijkstra over the cached patch graph: it reads
-        T_u(j) = `apsp.per_source[u].query(j, frontier)` only for the
-        vertices u it settles below the best answer so far.
+        the last hop T_u(j) = `_at[u][j]` only for the vertices u it
+        settles below the best answer so far.
         """
         if not (0 <= i < self.n and 0 <= j < self.n):
             raise ValueError("vertex id out of range")
@@ -253,7 +275,7 @@ class OnlineApsp:
             self._graph = {}
             for e in self.pending_edges():
                 self._add_pending(e)
-        graph, tables, f = self._graph, self.apsp.per_source, self.frontier
+        graph, at = self._graph, self._at
         self.last_patch_vertices = len(graph) + (i not in graph) + (j not in graph)
         # Outside P, i enters only through its out-row (the direct T_i(j)
         # bounds the search, the entries below it seed it) and j only through
@@ -261,11 +283,11 @@ class OnlineApsp:
         # edges into i cannot lower the answer.
         seeds, bound = {i: 0}, UNREACHABLE
         if i not in graph:
-            out = tables[i]
-            bound = out.query(j, f)
-            seeds = {v: w for v in graph if (w := out.query(v, f)) < bound}
+            out = at[i]
+            bound = out[j]
+            seeds = {v: w for v in graph if (w := out[v]) < bound}
         if j in graph:
             last_hop = lambda u: 0 if u == j else UNREACHABLE  # the search stops when j settles
         else:
-            last_hop = lambda u: tables[u].query(j, f)
+            last_hop = lambda u: at[u][j]
         return dijkstra(graph, seeds, bound, last_hop)

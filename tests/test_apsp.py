@@ -493,10 +493,38 @@ def test_cached_patch_queries_match_rebuilt_patch(kind, seed):
     assert {(True, True, True), (False, False, True)} & seen
 
 
+def _assert_answers_at_frontier(online):
+    """_at holds every per-source answer at the frontier, equal in value and in int/float type."""
+    tables, f = online.apsp.per_source, online.frontier
+    assert repr(online._at) == repr([[tables[x].query(v, f) for v in range(online.n)] for x in range(online.n)])
+
+
+def test_answer_matrix_follows_the_frontier():
+    # window_shuffle(8) stalls the frontier and then lets it jump several positions in one arrival
+    inst = generate(n=10, m=64, W=8, seed=61, epsilon=0.5)
+    padded = prepare_for_build(inst)
+    online = OnlineApsp(inst, perturb(inst, PerturbationSpec("window_shuffle", seed=3, k=8)))
+    rng = random.Random(3)
+    arrivals = list(padded.sigma)
+    _assert_answers_at_frontier(online)
+    jumps = []
+    for step, edge in enumerate(arrivals):
+        bad = _bad_arrivals(arrivals[rng.randrange(step, len(arrivals))], padded.n, padded.W)
+        with pytest.raises(ValueError):
+            online.insert(rng.choice(bad))
+        _assert_answers_at_frontier(online)
+        frontier = online.frontier
+        online.insert(edge)
+        jumps.append(online.frontier - frontier)
+        _assert_answers_at_frontier(online)
+    assert online.frontier == online.m
+    assert max(jumps) >= 4
+
+
 # The patched queries' work on one fixed replay.  Both counts are exact for
 # the seed, so the caps carry no timing noise; a change that does more work
 # per query must raise them on purpose.
-QUERY_LOOKUPS_CAP = 152_835  # per-source query calls
+QUERY_LOOKUPS_CAP = 26_747  # per-source query calls
 QUERY_PUSHES_CAP = 30_207  # Dijkstra heap pushes
 
 
@@ -628,6 +656,10 @@ class ApspArrivals(RuleBasedStateMachine):
             assert got == UNREACHABLE
         else:
             assert exact <= got <= exact * (1 + online.instance.epsilon) * (1 + 1e-9)
+
+    @invariant()
+    def answer_matrix_holds_the_frontier_answers(self):
+        _assert_answers_at_frontier(self.online)
 
     @invariant()
     def frontier_and_pending_follow_the_prediction(self):
