@@ -7,15 +7,17 @@ script tabulates how each error shape translates into replay cost, next to
 the displacement budget the cost is provably held under.
 
     python3 scripts/error_regimes.py --n 20 --m 128 --seeds 3
+
+Every replay runs through incsp.oracle.verify_online_run, which audits each
+answer against the exact distances and the jump and rebuild counts against
+their budgets; the script exits 1 when any audit fails.
 """
 
 import argparse
 import csv
 import sys
 
-from incsp.metrics import compute_profile, min_threshold_objective
-from incsp.model import align_prediction, prepare_for_build
-from incsp.online import OnlineEngine
+from incsp.oracle import verify_online_run
 from incsp.workload import PerturbationSpec, generate, perturb
 
 REGIMES = [
@@ -31,27 +33,21 @@ REGIMES = [
 
 
 def run_regime(inst, spec, seed):
+    """The audited replay's report and its table row (verify_online_run flushes, so the counters hold all the work)."""
     if spec.kind == "identity":
         live = spec
     else:
         live = PerturbationSpec(spec.kind, seed=seed, k=spec.k, p=spec.p)
-    padded = prepare_for_build(inst)
-    aligned = align_prediction(perturb(inst, live), padded)
-    profile = compute_profile(padded.sigma, aligned)
-    _, jump_budget = min_threshold_objective(profile.eta_per_edge, padded.m, weight=2)
-    engine = OnlineEngine(padded, aligned)
-    for edge in padded.sigma:
-        engine.insert(edge)
-    engine.flush()  # settle what the arrivals left pending, so the counters hold all the work
-    c = engine.counters
-    return {
+    report = verify_online_run(inst, perturb(inst, live))
+    profile = report["profile"]
+    return report, {
         "eta_max": profile.eta_max,
         "edit": profile.edit,
-        "jump_budget": jump_budget,
-        "worst_jumps": max(c.jumps_per_position),
-        "nodes_rebuilt": c.nodes_rebuilt,
-        "alive_edge_work": c.alive_edge_work,
-        "full_rebuilds": c.full_rebuilds,
+        "jump_budget": report["jump_budget"],
+        "worst_jumps": report["worst_jumps"],
+        "nodes_rebuilt": report["nodes_rebuilt"],
+        "alive_edge_work": report["alive_edge_work"],
+        "full_rebuilds": report["full_rebuilds"],
     }
 
 
@@ -65,14 +61,17 @@ def main(argv=None) -> int:
     parser.add_argument("--csv", default=None)
     args = parser.parse_args(argv)
 
-    rows = []
+    rows, failed = [], []
     for spec in REGIMES:
         keys = ["eta_max", "edit", "jump_budget", "worst_jumps",
                 "nodes_rebuilt", "alive_edge_work", "full_rebuilds"]
         acc = dict.fromkeys(keys, 0)
         for s in range(args.seeds):
             inst = generate(n=args.n, m=args.m, W=args.W, seed=300 + s, epsilon=args.eps)
-            for key, value in run_regime(inst, spec, seed=400 + s).items():
+            report, counts = run_regime(inst, spec, seed=400 + s)
+            if not report["ok"]:
+                failed.append(f"{spec.label()} on instance seed {300 + s}: {report['violations'][:3]}")
+            for key, value in counts.items():
                 acc[key] += value
         row = {"regime": spec.label()}
         row.update({key: value / args.seeds for key, value in acc.items()})
@@ -97,7 +96,9 @@ def main(argv=None) -> int:
             writer.writeheader()
             writer.writerows(rows)
         print(f"wrote {args.csv}")
-    return 0
+    for line in failed:
+        print(f"audit failed: {line}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -111,10 +111,10 @@ MUTANTS = [
         ("tests/test_apsp.py::test_worker_rows_hold_no_more_than_in_process_rows",),
     ),
     Mutant(
-        "online-apsp-no-frontier-reset",
+        "online-apsp-no-frontier-reset",  # the advancing arrival rebuilds the patch graph on top of the old one
         "incsp/apsp.py",
-        "        if self.frontier != old_frontier:\n            self._graph = None\n",
-        "        if self.frontier != old_frontier:\n            pass\n",
+        "            self._graph = {}\n            for e in self.pending_edges():\n",
+        "            for e in self.pending_edges():\n",
         ("tests/test_apsp.py", "-k", "cached_patch"),
     ),
     Mutant(
@@ -127,7 +127,7 @@ MUTANTS = [
     Mutant(
         "online-apsp-no-stalled-arrival-extension",
         "incsp/apsp.py",
-        "        elif self._graph is not None:\n            self._add_pending(edge)\n",
+        "        else:\n            self._add_pending(edge)\n",
         "",
         ("tests/test_apsp.py", "-k", "cached_patch"),
     ),
@@ -159,6 +159,20 @@ MUTANTS = [
         "                        if (x, v) != (1, 0) or t < max(u for u in row if u <= m):\n"
         "                            self._changes[t].append(x * n + v)\n",
         ("tests/test_apsp.py::test_answer_matrix_follows_the_frontier",),
+    ),
+    Mutant(
+        "search-steps-counts-found-slot-as-below",  # every counted search makes different comparison counts
+        "incsp/offline.py",
+        "        if mid < index:\n",
+        "        if mid <= index:\n",
+        ("tests/test_cli.py", "-k", "pinned"),
+    ),
+    Mutant(
+        "check-arrival-no-conflict",  # an arrival that reuses a known id with another triple gets through
+        "incsp/model.py",
+        "    if known is not None and known != edge.triple:\n",
+        "    if False:\n",
+        ("tests/test_apsp.py", "-k", "rejects_bad_edge"),
     ),
     Mutant(
         "dijkstra-no-push-filter",  # the same answers and lookups, but labels that cannot win are pushed

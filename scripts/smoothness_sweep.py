@@ -7,34 +7,31 @@ k = 0 column showing the free ride an exact prediction gets.
 
     python3 scripts/smoothness_sweep.py --n 30 --m 256 --W 16 --eps 0.5 \
         --seeds 5 --csv sweep.csv
+
+Every replay runs through incsp.oracle.verify_online_run, which audits each
+answer against the exact distances and the jump and rebuild counts against
+their budgets; the script exits 1 when any audit fails.
 """
 
 import argparse
 import csv
 import sys
 
-from incsp.metrics import compute_profile
-from incsp.model import align_prediction, prepare_for_build
-from incsp.online import OnlineEngine
+from incsp.oracle import verify_online_run
 from incsp.workload import PerturbationSpec, generate, perturb
 
 
 def replay(instance, prediction):
-    padded = prepare_for_build(instance)
-    aligned = align_prediction(prediction, padded)
-    engine = OnlineEngine(padded, aligned)
-    for edge in padded.sigma:
-        engine.insert(edge)
-    profile = compute_profile(padded.sigma, aligned)
-    engine.flush()  # settle what the arrivals left pending, so the counters hold all the work
-    c = engine.counters
-    return {
+    """The audited replay's report and its table row (verify_online_run flushes, so the counters hold all the work)."""
+    report = verify_online_run(instance, prediction)
+    profile = report["profile"]
+    return report, {
         "eta_max": profile.eta_max,
         "objective": profile.objective,
-        "nodes_rebuilt": c.nodes_rebuilt,
-        "alive_edge_work": c.alive_edge_work,
-        "total_jumps": c.total_jumps,
-        "full_rebuilds": c.full_rebuilds,
+        "nodes_rebuilt": report["nodes_rebuilt"],
+        "alive_edge_work": report["alive_edge_work"],
+        "total_jumps": report["total_jumps"],
+        "full_rebuilds": report["full_rebuilds"],
     }
 
 
@@ -51,14 +48,17 @@ def main(argv=None) -> int:
     parser.add_argument("--csv", default=None)
     args = parser.parse_args(argv)
 
-    rows = []
+    rows, failed = [], []
     for k in args.widths:
         acc = {"eta_max": 0, "objective": 0, "nodes_rebuilt": 0,
                "alive_edge_work": 0, "total_jumps": 0, "full_rebuilds": 0}
         for s in range(args.seeds):
             inst = generate(n=args.n, m=args.m, W=args.W, seed=100 + s, epsilon=args.eps)
             pred = perturb(inst, PerturbationSpec("window_shuffle", seed=200 + s, k=k))
-            for key, value in replay(inst, pred).items():
+            report, counts = replay(inst, pred)
+            if not report["ok"]:
+                failed.append(f"k={k} on instance seed {100 + s}: {report['violations'][:3]}")
+            for key, value in counts.items():
                 acc[key] += value
         row = {"k": k}
         row.update({key: value / args.seeds for key, value in acc.items()})
@@ -80,7 +80,9 @@ def main(argv=None) -> int:
             writer.writeheader()
             writer.writerows(rows)
         print(f"wrote {args.csv}")
-    return 0
+    for line in failed:
+        print(f"audit failed: {line}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

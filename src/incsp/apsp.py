@@ -18,14 +18,13 @@ advances the frontier re-reads, with one per-source query each, just the
 answers whose rows hold a time it passed.  The patch graph is the
 adjacency among the pending edges' endpoints P (a matrix entry for each of
 the |P|(|P|-1) ordered pairs where finite, |P| <= 2 * pending edges, plus
-the pending edges themselves), valid for one frontier and dropped when an
-arrival advances it.  The first query after a frontier advance builds it;
-an arrival that leaves the frontier in place adds its endpoints' rows and
-columns and its own edge.  A query (i, j) copies nothing and makes no
-per-source query: it runs the engine's one Dijkstra on the cached graph,
-seeded from i's matrix row and bounded by T_i(j) when i is outside P,
-reading the last hop into j only for vertices it settles, and stopping
-once no label can beat the best answer.
+the pending edges themselves), valid for one frontier: it is rebuilt by
+the arrival that advances the frontier, and extended by one that does not
+(its endpoints' rows and columns, then its own edge).  A query (i, j)
+builds and copies nothing and makes no per-source query: it runs the
+engine's one Dijkstra on the graph, seeded from i's matrix row and bounded
+by T_i(j) when i is outside P, reading the last hop into j only for
+vertices it settles, and stopping once no label can beat the best answer.
 
 build_apsp splits the per-source builds, which share only read-only
 inputs, over a fork-context process pool; its docstring says how.
@@ -38,14 +37,14 @@ import os
 import pickle
 import threading
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import replace
 
 from .bucketing import derive_internal_epsilon, make_table
 from .model import (
-    UNREACHABLE, EdgeInsert, ProblemInstance, align_prediction, check_edge, check_prediction, prepare_for_build,
+    UNREACHABLE, EdgeInsert, ProblemInstance, align_prediction, check_arrival, check_prediction, prepare_for_build,
 )
-from .offline import QueryTable, build_offline, dijkstra
+from .offline import QueryTable, build_offline, dijkstra, search_steps
 
 
 class ApspStructure:
@@ -165,9 +164,9 @@ class OnlineApsp:
     the matrix and make no per-source query.  `_graph[u]` lists the patch
     graph's (v, weight) pairs out of u in P, the pending edges' endpoints:
     `_at[u][v]` for each v != u in P where finite, then each pending u->v
-    edge (the search takes the least).  The first query after a frontier
-    advance builds it, an arrival that leaves the frontier where it was
-    extends it in place, and one that advances the frontier drops it.  A
+    edge (the search takes the least).  It is rebuilt by the arrival that
+    advances the frontier, and extended in place by one that does not.
+    Arrivals pass model.check_arrival, the gate OnlineEngine shares, and a
     rejected arrival leaves both alone.
     """
 
@@ -189,7 +188,7 @@ class OnlineApsp:
         self.frontier_advances = 0
         self.insert_comparisons = 0
         self.last_patch_vertices = 0
-        self._graph: dict[int, list[tuple[int, float]]] | None = None
+        self._graph: dict[int, list[tuple[int, float]]] = {}
         n, m, tables = self.n, self.m, self.apsp.per_source
         # T_x(v) changes only at the distinct times of row v of source x:
         # _changes[t] holds the codes x * n + v of the answers that change at t.
@@ -203,41 +202,31 @@ class OnlineApsp:
 
     def insert(self, edge: EdgeInsert) -> None:
         """Record one true arrival; a rejected arrival leaves the engine unchanged."""
-        check_edge(edge, self.n, self.instance.W)
-        if self.t >= self.m:
-            raise ValueError("more than m insertions")
-        p = self.prediction.position_of(edge.edge_id)
+        p = check_arrival(edge, self.prediction, self.t, self.n, self.instance.W)
         if p > self.m:
             raise ValueError("arriving edge is not part of the predicted permutation")
         if self._arrived_flags[p]:
             raise ValueError("duplicate insertion")
-        if self.prediction[p - 1].triple != edge.triple:
-            raise ValueError("arriving edge conflicts with its predicted description")
         self._arrived_flags[p] = True
-        # Hand-rolled insertion point search so the comparison count is
-        # observable; the list insert itself is the keyed-store write.
+        # Counted insertion point search; the list insert is the keyed-store write.
         positions = self._arrived_positions
-        lo, hi = 0, len(positions)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            self.insert_comparisons += 1
-            if positions[mid] < p:
-                lo = mid + 1
-            else:
-                hi = mid
-        positions.insert(lo, p)
+        i = bisect_left(positions, p)
+        self.insert_comparisons += search_steps(len(positions), i)
+        positions.insert(i, p)
         old_frontier = self.frontier
         while self.frontier < self.m and self._arrived_flags[self.frontier + 1]:
             self.frontier += 1
             self.frontier_advances += 1
         if self.frontier != old_frontier:
-            self._graph = None
             at, tables, f, n = self._at, self.apsp.per_source, self.frontier, self.n
             for t in range(old_frontier + 1, f + 1):
                 for code in self._changes[t]:
                     x, v = divmod(code, n)
                     at[x][v] = tables[x].query(v, f)
-        elif self._graph is not None:
+            self._graph = {}
+            for e in self.pending_edges():
+                self._add_pending(e)
+        else:
             self._add_pending(edge)
         self.t += 1
 
@@ -271,10 +260,6 @@ class OnlineApsp:
         if i == j:
             self.last_patch_vertices = 1
             return 0.0
-        if self._graph is None:
-            self._graph = {}
-            for e in self.pending_edges():
-                self._add_pending(e)
         graph, at = self._graph, self._at
         self.last_patch_vertices = len(graph) + (i not in graph) + (j not in graph)
         # Outside P, i enters only through its out-row (the direct T_i(j)

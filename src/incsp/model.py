@@ -51,6 +51,22 @@ def check_edge(edge: EdgeInsert, n: int, W: int) -> None:
         raise ValueError("weight out of range")
 
 
+def check_arrival(edge: EdgeInsert, timeline: InsertSequence, t: int, n: int, W: int) -> int:
+    """The arrival gate both online engines share, run before any state changes.
+
+    Rejects what check_edge rejects, an arrival after m (t counts the earlier
+    ones) and an id the timeline knows with another triple.  Returns the id's
+    timeline position, to which each engine applies its own rules.
+    """
+    check_edge(edge, n, W)
+    if t >= len(timeline):
+        raise ValueError("more than m insertions")
+    known = timeline.columns.triple(edge.edge_id)
+    if known is not None and known != edge.triple:
+        raise ValueError("arriving edge conflicts with its predicted description")
+    return timeline.position_of(edge.edge_id)
+
+
 def check_prediction(prediction: Iterable[EdgeInsert], instance: ProblemInstance) -> None:
     """check_edge every predicted edge, and reject one that gives a true edge's id another triple."""
     true_triples = {e.edge_id: e.triple for e in instance.sigma}

@@ -266,27 +266,30 @@ class QueryTable:
         return self._answers[bisect_right(rows[v], t)]
 
     def query_with_cost(self, v: int, t: int) -> tuple[float, int]:
-        """query(v, t) plus the comparison count of a counted binary search.
-
-        The search runs over the row from the finest cell down (index
-        top - mid), the order the comparison counts were defined in.
-        """
+        """query(v, t) plus the comparison count of a binary search over the
+        row from the finest cell down, the order the counts were defined in."""
         row = self._entry_row(v, t)
         if row is None:
             return 0.0, 0
-        top = len(row) - 1
-        lo, hi = 0, len(row)
-        comparisons = 0
-        while lo < hi:
-            mid = (lo + hi) // 2
-            comparisons += 1
-            if row[top - mid] <= t:
-                hi = mid
-            else:
-                lo = mid + 1
-        if lo == len(row):
-            return UNREACHABLE, comparisons
-        return self.table.coarse[lo], comparisons
+        c = bisect_right(row, t)
+        return self._answers[c], search_steps(len(row), len(row) - c)
+
+
+def search_steps(length: int, index: int) -> int:
+    """Comparisons a halving search over length ordered slots makes to find index.
+
+    Each step tests slot mid against the sought slot, so the count depends
+    only on the two ints; a counted search is one bisect plus this.
+    """
+    lo, hi, steps = 0, length, 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        steps += 1
+        if mid < index:
+            lo = mid + 1
+        else:
+            hi = mid
+    return steps
 
 
 class OfflineStructure(QueryTable):

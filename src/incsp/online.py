@@ -36,7 +36,7 @@ from .model import (
     InsertSequence,
     ProblemInstance,
     align_prediction,
-    check_edge,
+    check_arrival,
     check_prediction,
     prepare_for_build,
 )
@@ -134,16 +134,10 @@ class OnlineEngine:
 
     def insert(self, edge: EdgeInsert) -> InsertReport:
         """Apply one true arrival; a rejected arrival leaves the engine unchanged."""
-        check_edge(edge, self.n, self.instance.W)
-        if self.t >= self.m:
-            raise ValueError("more than m insertions")
-        t_prime = self.timeline.position_of(edge.edge_id)
+        t_prime = check_arrival(edge, self.timeline, self.t, self.n, self.instance.W)
         # Positions 1..t of the timeline hold exactly the arrived edges.
         if t_prime <= self.t:
             raise ValueError("duplicate insertion")
-        known = self.timeline.columns.triple(edge.edge_id)
-        if known is not None and known != edge.triple:
-            raise ValueError("arriving edge conflicts with its predicted description")
 
         t = self.t + 1
         m = self.m

@@ -202,6 +202,7 @@ def verify_online_run(
         "worst_rebuilds": worst_rebuilds,
         "nodes_rebuilt": counters.nodes_rebuilt,
         "alive_edge_work": counters.alive_edge_work,
+        "total_jumps": counters.total_jumps,
         "full_rebuilds": counters.full_rebuilds,
         "fresh_build_checked": check_fresh,
     }

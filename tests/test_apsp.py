@@ -6,6 +6,7 @@ import sys
 import threading
 import tracemalloc
 import weakref
+from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
@@ -21,9 +22,11 @@ from incsp.bucketing import derive_internal_epsilon, make_table
 from incsp.metrics import compute_profile
 from incsp.model import UNREACHABLE, EdgeInsert, parse_instance, prepare_for_build
 from incsp.offline import build_offline, dijkstra
+from incsp.online import start_online
 from incsp.oracle import dijkstra_exact
 from incsp.workload import PerturbationSpec, generate, perturb
 from tests.conftest import W4_TEXT, exact_apsp_table, verify_apsp_offline
+from tests.test_online import _engine_state
 
 
 # -- offline all-pairs -------------------------------------------------------------
@@ -405,6 +408,37 @@ def test_online_insert_rejects_bad_edge_without_mutation(tail, head, weight):
     assert 5 <= online.query(0, 2) <= 5 * (1 + inst.epsilon)
 
 
+_ONE_GATE_CASES = {  # the bad arrival, made from an edge not yet arrived, and the message both engines give
+    "weight-0": (lambda e: EdgeInsert(e.edge_id, e.tail, e.head, 0), "weight out of range"),
+    "head-out-of-range": (lambda e: EdgeInsert(e.edge_id, e.tail, 3, e.weight), "vertex id out of range"),
+    "conflict": (lambda e: EdgeInsert(e.edge_id, e.tail, e.head, e.weight + 1), "conflicts with its predicted"),
+    "one-past-m": (lambda e: EdgeInsert(70, 2, 0, 1), "more than m insertions"),
+}
+
+
+@pytest.mark.parametrize("case", list(_ONE_GATE_CASES))
+def test_both_engines_reject_bad_edge_alike(case):
+    # both engines take the same arrivals on the same prediction, then the same bad one
+    inst = _three_edge_instance()
+    edges = list(prepare_for_build(inst).sigma)
+    engine = start_online(inst, edges)
+    s = engine.structure
+    online = OnlineApsp(inst, edges)
+    for edge in edges if case == "one-past-m" else edges[:1]:
+        engine.insert(edge)
+        online.insert(edge)
+    make, message = _ONE_GATE_CASES[case]
+    bad = make(edges[1])
+    before = (_engine_state(engine, s), _apsp_state(online), repr(online._graph), repr(online._at))
+    messages = []
+    for insert in (engine.insert, online.insert):
+        with pytest.raises(ValueError, match=message) as rejected:
+            insert(bad)
+        messages.append(str(rejected.value))
+    assert messages[0] == messages[1]
+    assert (_engine_state(engine, s), _apsp_state(online), repr(online._graph), repr(online._at)) == before
+
+
 def _rebuilt_patch_query(online, i, j):
     """The patched query rebuilt from scratch: (answer, patch vertex count)."""
     if i == j:
@@ -607,8 +641,8 @@ class ApspArrivals(RuleBasedStateMachine):
     """True arrivals in any order against a fully shuffled prediction.
 
     The prediction is a seeded shuffle of the padded timeline, so the
-    frontier can stall at any position and the patch graph is built,
-    extended and dropped in every order the arrivals allow.
+    frontier can stall at any position and the patch graph is rebuilt
+    and extended in every order the arrivals allow.
     """
 
     W = 6
@@ -660,6 +694,19 @@ class ApspArrivals(RuleBasedStateMachine):
     @invariant()
     def answer_matrix_holds_the_frontier_answers(self):
         _assert_answers_at_frontier(self.online)
+
+    @invariant()
+    def patch_graph_holds_the_pending_edges(self):
+        # per vertex as a multiset: an arrival that leaves the frontier in place appends in arrival order
+        online = self.online
+        pending = online.pending_edges()
+        patch = {x for e in pending for x in (e.tail, e.head)}
+        rebuilt = {u: Counter((v, online._at[u][v]) for v in patch if v != u and online._at[u][v] != UNREACHABLE)
+                   for u in patch}
+        for e in pending:
+            if e.tail != e.head:
+                rebuilt[e.tail][(e.head, e.weight)] += 1
+        assert {u: Counter(row) for u, row in online._graph.items()} == rebuilt
 
     @invariant()
     def frontier_and_pending_follow_the_prediction(self):

@@ -1,4 +1,6 @@
 import math
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +16,7 @@ from incsp.offline import (
     _moved_keys,
     build_offline,
     dijkstra,
+    search_steps,
     structures_equal,
     time_ancestors,
     tree_level,
@@ -366,6 +369,55 @@ def test_bisect_query_matches_counted_query(n, m, seed):
         for query in (s.query, s.query_with_cost):
             with pytest.raises(ValueError, match=message):
                 query(v, t)
+
+
+def _counted_insertion_search(positions, p):
+    """The insertion point search OnlineApsp.insert once ran by hand: (index, comparisons)."""
+    lo, hi, comparisons = 0, len(positions), 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        comparisons += 1
+        if positions[mid] < p:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo, comparisons
+
+
+def _counted_row_search(row, t):
+    """The finest-cell-first row search query_with_cost once ran by hand: (index, comparisons)."""
+    top = len(row) - 1
+    lo, hi, comparisons = 0, len(row), 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        comparisons += 1
+        if row[top - mid] <= t:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo, comparisons
+
+
+@settings(max_examples=200, deadline=None)
+@given(length=st.integers(0, 70), gaps=st.lists(st.integers(0, 3), min_size=70, max_size=70))
+@example(length=0, gaps=[0] * 70)
+@example(length=70, gaps=[0, 1] * 35)
+def test_search_steps_counts_what_the_hand_rolled_searches_counted(length, gaps):
+    # ascending positions that a new arrival never equals, and a non-decreasing row with repeats
+    positions = list(accumulate(2 * g + 2 for g in gaps[:length]))
+    row = list(accumulate(gaps[:length]))
+    for i in range(length + 1):
+        p = positions[i] - 1 if i < length else (positions[-1] if positions else 0) + 1
+        index, comparisons = _counted_insertion_search(positions, p)
+        assert index == i == bisect_left(positions, p)
+        assert search_steps(length, i) == comparisons
+    found = set()
+    for t in range(-1, (row[-1] if row else 0) + 2):
+        index, comparisons = _counted_row_search(row, t)
+        assert index == length - bisect_right(row, t)
+        assert search_steps(length, index) == comparisons
+        found.add(index)
+    assert {0, length} <= found
 
 
 def test_tight_epsilon_random_instance():
