@@ -83,11 +83,53 @@ MUTANTS = [
         ("tests/test_online.py", "-k", "share_one_entry"),
     ),
     Mutant(
-        "build-apsp-pool-left-open",  # the pool is never shut down, so its workers and thread outlive the call
-        "incsp/apsp.py",
-        "    with pool:\n",
-        "    if True:\n",
-        ("tests/test_apsp.py", "-k", "leaves_no_child"),
+        "fork-pool-left-open",  # the pool is never shut down, so its workers and thread outlive the call
+        "incsp/forkpool.py",
+        "        with ProcessPoolExecutor(workers, get_context(\"fork\")) as pool:\n            yield pool\n",
+        "        yield ProcessPoolExecutor(workers, get_context(\"fork\"))\n",
+        ("tests/test_apsp.py", "tests/test_offline.py", "-k", "leaves_no_child"),
+    ),
+    Mutant(
+        "fork-pool-nests",  # a build_apsp share, run while the pool is open or inside it, forks its own
+        "incsp/forkpool.py",
+        "    if _inputs is not None:\n        return 0\n",
+        "",
+        ("tests/test_offline.py", "-k", "build_apsp_share"),
+    ),
+    Mutant(
+        "fork-pool-stays-frozen",  # every object the pool froze stays out of the gc's reach
+        "incsp/forkpool.py",
+        "            gc.unfreeze()\n",
+        "            pass\n",
+        ("tests/test_offline.py", "-k", "gc_as_it_found_it"),
+    ),
+    Mutant(
+        "halves-merge-drops-scan-work",  # the worker's half scanned nothing, by the caller's counters
+        "incsp/offline.py",
+        "        self.scan_work += other.scan_work\n",
+        "",
+        ("tests/test_offline.py", "-k", "halves_equals"),
+    ),
+    Mutant(
+        "halves-decode-inf-as-last-grid-point",  # a right-half vertex alive at inf comes back finite
+        "incsp/offline.py",
+        "values = (*self.table.fine, UNREACHABLE)",
+        "values = (*self.table.fine, self.table.fine[-1])",
+        ("tests/test_offline.py", "-k", "halves_equals"),
+    ),
+    Mutant(
+        "recompute-base-skips-a-tight-drop",  # a dropped edge on a shortest path counts as off every one
+        "incsp/offline.py",
+        "base[dropped.tail] + dropped.weight > base[dropped.head]",
+        "base[dropped.tail] + dropped.weight >= base[dropped.head]",
+        ("tests/test_online.py", "-k", "recompute_base_equals"),
+    ),
+    Mutant(
+        "recompute-base-ignores-the-arrival",  # a skip that only checks the dropped edge
+        "incsp/offline.py",
+        "            and base[arrived.tail] + arrived.weight >= base[arrived.head]\n",
+        "",
+        ("tests/test_online.py", "-k", "recompute_base_equals"),
     ),
     Mutant(
         "build-apsp-shares-swapped",  # share i loaded onto the sources of share k - i
@@ -97,8 +139,8 @@ MUTANTS = [
         ("tests/test_apsp.py", "-k", "worker_shares_equal_per_source_builds"),
     ),
     Mutant(
-        "build-apsp-pool-imported-at-top",  # every `import incsp` pays for the pool's modules
-        "incsp/apsp.py",
+        "fork-pool-imported-at-top",  # every `import incsp` pays for the pool's modules
+        "incsp/forkpool.py",
         "import contextlib\n",
         "import concurrent.futures.process\nimport contextlib\n",
         ("tests/test_apsp.py", "-k", "loads_no_pool"),

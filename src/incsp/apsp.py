@@ -27,19 +27,17 @@ by T_i(j) when i is outside P, reading the last hop into j only for
 vertices it settles, and stopping once no label can beat the best answer.
 
 build_apsp splits the per-source builds, which share only read-only
-inputs, over a fork-context process pool; its docstring says how.
+inputs, over forkpool's fork-context process pool; its docstring says how.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
 import pickle
-import threading
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import replace
 
+from . import forkpool
 from .bucketing import derive_internal_epsilon, make_table
 from .model import (
     UNREACHABLE, EdgeInsert, ProblemInstance, align_prediction, check_arrival, check_prediction, prepare_for_build,
@@ -72,32 +70,23 @@ def build_apsp(instance: ProblemInstance) -> ApspStructure:
 
     Padding self-loops sit at the instance's nominal source; a self-loop
     never relaxes any distance, so every per-source build may share them.
-    With k = min(n, _worker_count()) the caller builds range(0, n, k); each
-    of k - 1 fork-context ProcessPoolExecutor workers inherits the padded
-    instance and the table through the pool's initializer (nothing is
-    pickled) and returns range(i, n, k) as one pickle of (entry rows,
-    SolveCounters) per source, safe to load since only the caller's own
-    forked workers write them.  Loaded one at a time into exactly sized
-    lists that share one int object per value, the rows hold no more than
-    rows built in-process.  The pool forks before it starts its thread; k = 1
-    makes no pool and imports none of its modules.  A worker's exception is
-    re-raised as itself (the remote traceback is its __cause__), a dead
-    worker raises BrokenProcessPool (a RuntimeError), and leaving the pool,
-    on return or failure, joins every worker and pool thread.  The caller's
-    ru_maxrss leaves the workers out.
+    With k = 1 + forkpool.spare_workers(n - 1) the caller builds
+    range(0, n, k); each of the k - 1 workers of a forkpool.fork_pool
+    inherits the padded instance and the table by fork and returns
+    range(i, n, k) as one pickle of (entry rows, SolveCounters) per source,
+    safe to load since only the caller's own forked workers write them.
+    Loaded one at a time into exactly sized lists that share one int object
+    per value, the rows hold no more than rows built in-process.  k = 1
+    makes no pool and imports none of its modules.  No per-source build
+    forks again: the caller's share runs while its pool is open, and a
+    worker's inside it.  The caller's ru_maxrss leaves the workers out.
     """
     padded = prepare_for_build(instance)
     table = make_table(derive_internal_epsilon(padded.epsilon), padded.m, padded.n, padded.W)
     n = padded.n
-    k = max(1, min(n, _worker_count()))
-    pool = contextlib.nullcontext()
-    if k > 1:
-        # Not at the top: they cost ~1.25 MiB of RSS, and `import incsp` imports this module.
-        from concurrent.futures import ProcessPoolExecutor
-        from multiprocessing import get_context
-        pool = ProcessPoolExecutor(k - 1, get_context("fork"), initializer=_inherit, initargs=(padded, table))
+    k = 1 + forkpool.spare_workers(n - 1)
     per_source: list[QueryTable | None] = [None] * n
-    with pool:
+    with forkpool.fork_pool(k - 1, padded, table) as pool:
         shares = [pool.submit(_build_share, range(i, n, k)) for i in range(1, k)]
         for s in range(0, n, k):
             per_source[s] = _query_table(replace(padded, source=s), table)
@@ -112,37 +101,15 @@ def build_apsp(instance: ProblemInstance) -> ApspStructure:
     return ApspStructure(per_source, table)
 
 
-def _worker_count() -> int:
-    """Processes build_apsp may use: one per usable CPU.
-
-    1 where os.fork is missing or a second thread runs, since a child
-    forked beside a running thread may inherit a lock it holds and hang.
-    """
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _query_table(instance: ProblemInstance, table) -> QueryTable:
     """One source's build, reduced to its query tables; the tree dies on return."""
     built = build_offline(instance, table=table)
     return QueryTable(built.n, built.m, built.source, table, built.entry_times, built.stats)
 
 
-_inherited: tuple = ()  # (padded instance, table) in a pool worker, set by _inherit
-
-
-def _inherit(instance: ProblemInstance, table) -> None:
-    """Pool initializer: keep the inputs a forked worker inherited for _build_share."""
-    global _inherited
-    _inherited = instance, table
-
-
 def _build_share(sources: range) -> list[bytes]:
     """In a pool worker: one pickle of (entry rows, SolveCounters) per source of the share."""
-    instance, table = _inherited
+    instance, table = forkpool.inherited()
     built = (_query_table(replace(instance, source=s), table) for s in sources)
     return [pickle.dumps((q.entry_times, q.stats)) for q in built]
 

@@ -33,6 +33,17 @@ tail, weight and position is one lookup by edge id in the timeline's
 EdgeColumns (model.py), built once per timeline and shared by every
 structure on it.
 
+Building in two processes: below the root the two halves of the tree read
+only the root, the above array and the columns.  So from m = PARALLEL_MIN_M
+on, where forkpool has a spare worker, build_offline solves the root, then
+a forked worker builds the right half while the caller builds the left.
+What crosses the pipe is the worker's half as flat arrays (per-node counts,
+vertex ids, fine-grid indices with one code for inf, and timeline positions
+of the alive edges), its SolveCounters and its half's entry-row witness
+cells; the caller rebuilds the nodes on its own grid floats and edge ids,
+adds the counters and takes the cellwise min of the cells.  A build inside
+a pool worker, or while the caller holds a pool open, never forks.
+
 Query tables: once the tree is built, each vertex's row records the
 earliest time its estimate lies in each coarse grid cell or a lower one,
 read from the time-m anchor and every node's alive estimates.  A row is
@@ -74,14 +85,25 @@ its ancestors do.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import chain
+from operator import itemgetter
 from typing import NamedTuple
 
+from . import forkpool
 from .bucketing import BucketTable, derive_internal_epsilon, make_table
-from .model import UNREACHABLE, ProblemInstance
+from .model import UNREACHABLE, EdgeInsert, ProblemInstance
+
+# build_offline builds the two halves of a tree in two processes from this
+# timeline length on (at least 4, so that the root has two children).
+# Medians of 5 builds on 2 vCPUs, parallel against sequential: n=150
+# m=1024 0.055 against 0.033 s, n=500 m=4096 0.231 against 0.253 s, n=1000
+# m=8192 0.52 against 0.65 s.  Every online and all-pairs bench build is
+# shorter, so those stay sequential.
+PARALLEL_MIN_M = 8192
 
 
 def time_ancestors(t: int, m: int) -> list[int]:
@@ -197,6 +219,18 @@ class SolveCounters:
         self.nodes_solved += 1
         self.total_alive_edges += alive_edge_count
         self.scan_work += scanned
+
+    def add(self, other: SolveCounters) -> None:
+        """Add another pass's counts to these (a worker's half of one build)."""
+        for mine, theirs in ((self.alive_edges_per_node, other.alive_edges_per_node),
+                             (self.alive_nodes_per_vertex, other.alive_nodes_per_vertex)):
+            for i, count in enumerate(theirs):
+                if count:
+                    mine[i] += count
+        self.nodes_solved += other.nodes_solved
+        self.nodes_skipped += other.nodes_skipped
+        self.total_alive_edges += other.total_alive_edges
+        self.scan_work += other.scan_work
 
 
 def dijkstra(adj, seeds: dict[int, float], bound: float = UNREACHABLE, last_hop=None):
@@ -586,6 +620,67 @@ class OfflineStructure(QueryTable):
         """Build the tree: settle every node of the unbuilt tree, root first."""
         self._walk(0, self.m, list(self.base_m), sink)
 
+    def _build_in_halves(self, with_cells: bool) -> list[int] | None:
+        """Build the unbuilt tree in two processes; with_cells also returns every node's witness cells.
+
+        The caller solves the root, then one forkpool worker builds the
+        right half, taking the root's inner list as its edges, while the
+        caller builds the left half; both read only the root, the above
+        array and the columns they share.  The worker sends back its nodes
+        encoded by _encode_nodes, its SolveCounters and its witness cells;
+        the caller decodes the nodes onto its own grid floats and edge ids,
+        adds the counters and takes the cellwise min of the cells.
+        """
+        m, half, sink = self.m, self.m // 2, self.stats
+        above = list(self.base_m)
+        root, inner = self._settle(0, m, above, sink)
+        for v, value in root.alive_estimates.items():
+            above[v] = value
+        right = range(half + 1, m)
+        with forkpool.fork_pool(1, self, above, inner, with_cells) as pool:
+            built = pool.submit(_build_right_half)
+            self._walk(0, half, above, sink)
+            cells = self._witness_cells(range(1, half + 1)) if with_cells else None
+            encoded, their_sink, their_cells = built.result()
+            self._decode_nodes(right, *encoded)
+        sink.add(their_sink)
+        return list(map(min, cells, their_cells)) if with_cells else None
+
+    def _encode_nodes(self, mids: range) -> tuple[array, array, array, array]:
+        """The nodes at mids as four flat arrays, for a pipe.
+
+        Per node: its alive count and alive edge count; then its alive
+        vertices, their estimates as fine-grid indices (len(fine) for inf)
+        and its alive edges as timeline positions, each in the node's own
+        order.  Plain pickles of the nodes would give each loaded node its
+        own copies of the ints and floats an in-process tree shares.
+        """
+        fine = self.table.fine
+        code = {value: i for i, value in enumerate(fine)}
+        code[UNREACHABLE] = len(fine)
+        position = self.cols.position
+        sizes, vertices, grid, positions = array("I"), array("I"), array("I"), array("I")
+        for mid in mids:
+            node = self.nodes[mid]
+            estimates = node.alive_estimates
+            sizes.extend((len(estimates), len(node.alive_edges)))
+            vertices.extend(estimates)
+            grid.extend(map(code.__getitem__, estimates.values()))
+            positions.extend(map(position.__getitem__, node.alive_edges))
+        return sizes, vertices, grid, positions
+
+    def _decode_nodes(self, mids: range, sizes, vertices, grid, positions) -> None:
+        """Store the nodes _encode_nodes encoded, on this structure's grid floats and edge ids."""
+        ids = tuple(range(self.n))
+        values = (*self.table.fine, UNREACHABLE)
+        by_position = (None, *self.cols.order)
+        i = j = 0
+        for mid, alive, alive_edges in zip(mids, sizes[::2], sizes[1::2]):
+            estimates = dict(zip(_pick(ids, vertices[i : i + alive]), _pick(values, grid[i : i + alive])))
+            self.nodes[mid] = RecursionNode(mid, estimates, _pick(by_position, positions[j : j + alive_edges]))
+            i += alive
+            j += alive_edges
+
     def flush(self, sink: SolveCounters) -> None:
         """Settle every node, root first."""
         if self.pending:
@@ -640,13 +735,24 @@ class OfflineStructure(QueryTable):
             touched.extend(alive)
         return touched, top
 
-    def recompute_base(self) -> dict[int, float]:
+    def recompute_base(self, arrived: EdgeInsert | None = None, dropped: EdgeInsert | None = None) -> dict[int, float]:
         """Refresh the exact distances at time m; map each moved entry to its old value.
 
+        An absent arrival changes the time-m graph by one gained edge,
+        arrived, and one lost edge, dropped (the truncated last edge).  When
+        dropped lies on no shortest path (its tail is unreachable, or its
+        tail's distance plus its weight exceeds its head's) and arrived
+        shortens none, no distance moves, and the Dijkstra is skipped.
         Once the tree is built, the moved entries also become a pending diff
         at the root (its hi end and its inherited estimates both read
         base_m) and are recorded for settle_chain to write into est_t.
         """
+        base = self.base_m
+        if arrived is not None and (
+            (base[dropped.tail] == UNREACHABLE or base[dropped.tail] + dropped.weight > base[dropped.head])
+            and base[arrived.tail] + arrived.weight >= base[arrived.head]
+        ):
+            return {}
         cols = self.cols
         head, tail, weight = cols.head, cols.tail, cols.weight
         adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
@@ -665,8 +771,18 @@ class OfflineStructure(QueryTable):
 
     # -- query tables ----------------------------------------------------------
 
-    def _entry_times_from_tree(self) -> list[list[int]]:
-        """Entry rows read from the finished tree.
+    def _witness_cells(self, mids: range) -> list[int]:
+        """Cell v * len(coarse) + c: the earliest of mids at which v's estimate lies in coarse cell c (m + 1 when none does)."""
+        k, cell_of = len(self.table.coarse), self.table.coarse_cell_of_value
+        cells = [self.m + 1] * (self.n * k)
+        for mid in reversed(mids):  # latest first, so each cell ends with its earliest witness
+            for v, value in self.nodes[mid].alive_estimates.items():
+                if value != UNREACHABLE:
+                    cells[v * k + cell_of(value)] = mid
+        return cells
+
+    def _entry_times_from_tree(self, cells: list[int]) -> list[list[int]]:
+        """Entry rows from the witness cells of every node (see _witness_cells).
 
         Row v holds, for each coarse cell, the earliest time at which v's
         estimate lies in that cell or a lower one (m + 1 when it never
@@ -676,17 +792,13 @@ class OfflineStructure(QueryTable):
         a genuine witness time: a node's midpoint, the time-m anchor, or 0
         at the source.
         """
-        m, cell_of = self.m, self.table.coarse_cell_of_value
-        rows = [[m + 1] * len(self.table.coarse) for _ in range(self.n)]
-        # Latest time first, so each cell ends with its earliest witness.
+        m, k, cell_of = self.m, len(self.table.coarse), self.table.coarse_cell_of_value
         for v, value in enumerate(self.base_m):
             if value != UNREACHABLE:
-                rows[v][cell_of(value)] = m
-        for mid in range(m - 1, 0, -1):
-            for v, value in self.nodes[mid].alive_estimates.items():
-                if value != UNREACHABLE:
-                    rows[v][cell_of(value)] = mid
-        rows[self.source][0] = 0  # estimate 0 before anything arrives
+                i = v * k + cell_of(value)
+                cells[i] = min(cells[i], m)
+        cells[self.source * k] = 0  # estimate 0 before anything arrives
+        rows = [cells[i : i + k] for i in range(0, len(cells), k)]
         for row in rows:  # fill and floor: each cell takes the least time at or below it
             carry = m + 1
             for i, value in enumerate(row):
@@ -704,6 +816,10 @@ def build_offline(
 
     A shared BucketTable may be passed in (the all-pairs engine builds n
     structures against one table); it must match the instance parameters.
+    From m = PARALLEL_MIN_M on, where forkpool has a spare worker, the two
+    halves of the tree are built in two processes (see
+    OfflineStructure._build_in_halves); the result equals a sequential
+    build node for node, row for row and counter for counter.
     """
     eps_internal = derive_internal_epsilon(instance.epsilon)
     if table is None:
@@ -716,10 +832,34 @@ def build_offline(
         raise ValueError("bucket table does not match the instance")
     structure = OfflineStructure(instance, table)
     structure.recompute_base()
-    structure.resolve_subtree(structure.stats)
+    if instance.m >= PARALLEL_MIN_M and forkpool.spare_workers(1):
+        cells = structure._build_in_halves(with_entry_times)
+    else:
+        structure.resolve_subtree(structure.stats)
+        cells = structure._witness_cells(range(1, instance.m)) if with_entry_times else None
     if with_entry_times:
-        structure.entry_times = structure._entry_times_from_tree()
+        structure.entry_times = structure._entry_times_from_tree(cells)
     return structure
+
+
+def _pick(items: tuple, keys: array) -> list:
+    """[items[k] for k in keys], looked up in C: about twice as fast on the alive edges of half a tree."""
+    return list(itemgetter(*keys)(items)) if len(keys) > 1 else [items[k] for k in keys]
+
+
+def _build_right_half() -> tuple:
+    """In a forkpool worker: build the right half of the inherited tree.
+
+    Returns its nodes as _encode_nodes encodes them, its SolveCounters and,
+    when asked, its witness cells as an array.
+    """
+    structure, above, inner, with_cells = forkpool.inherited()
+    m, half = structure.m, structure.m // 2
+    sink = SolveCounters(structure.n, m)
+    structure._walk(half, m, above, sink, inner)
+    right = range(half + 1, m)
+    cells = array("I", structure._witness_cells(right)) if with_cells else None
+    return structure._encode_nodes(right), sink, cells
 
 
 def structures_equal(a: OfflineStructure, b: OfflineStructure, mids=None) -> bool:

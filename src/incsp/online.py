@@ -13,8 +13,9 @@ the exact distances at time m.
 Repair is demand-driven (see offline.py), and the structure owns every
 repair decision.  An arrival at time t only reports what changed: the span
 of prefixes its shift jumped over goes to mark_prefixes, and an unpredicted
-arrival calls recompute_base, which leaves the root a pending diff when the
-time-m anchor moved.  The live distance array D after arrival t holds the
+arrival hands itself and the truncated edge to recompute_base, which skips
+its Dijkstra when neither can move a distance and leaves the root a pending
+diff when the time-m anchor moved.  The live distance array D after arrival t holds the
 estimates at t, which read only node t, its ancestors and base_m, so only
 that chain is settled, root first; every other node waits, with its input
 diffs accumulated, until a later chain reaches it or flush() settles the
@@ -150,7 +151,7 @@ class OnlineEngine:
             self.timeline.move_forward(edge.edge_id, t)
         else:
             case = "absent"
-            self.timeline.insert_truncating(edge, t)
+            dropped = self.timeline.insert_truncating(edge, t)
         self.counters.case_counts[case] += 1
 
         if t_prime > t:
@@ -162,7 +163,7 @@ class OnlineEngine:
             structure.mark_prefixes(t, hi_pos, edge.edge_id)
         else:
             jumped_positions = None
-        moved = structure.recompute_base() if case == "absent" else {}
+        moved = structure.recompute_base(edge, dropped) if case == "absent" else {}
         if moved:
             self.counters.full_rebuilds += 1
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 import incsp.apsp
+import incsp.forkpool
 import incsp.offline
 from incsp.apsp import OnlineApsp, build_apsp
 from incsp.bucketing import derive_internal_epsilon, make_table
@@ -107,7 +108,7 @@ def test_build_apsp_keeps_no_tree(monkeypatch):
     monkeypatch.setattr(incsp.apsp, "build_offline", tracked)
     inst = generate(n=30, m=256, W=16, seed=7, epsilon=0.5)
     for workers in (1, 3):
-        monkeypatch.setattr(incsp.apsp, "_worker_count", lambda: workers)
+        monkeypatch.setattr(incsp.forkpool, "worker_count", lambda: workers)
         refs.clear()
         apsp = build_apsp(inst)
         assert apsp.n == 30
@@ -120,7 +121,7 @@ def test_build_apsp_keeps_no_tree(monkeypatch):
 def test_worker_shares_equal_per_source_builds(monkeypatch, n, workers):
     # However the sources are split, each one's entry rows and every
     # SolveCounters field equal its own build_offline's.
-    monkeypatch.setattr(incsp.apsp, "_worker_count", lambda: workers)
+    monkeypatch.setattr(incsp.forkpool, "worker_count", lambda: workers)
     inst = generate(n=n, m=64, W=8, seed=n, epsilon=0.5)
     apsp = build_apsp(inst)
     padded = prepare_for_build(inst)
@@ -135,11 +136,11 @@ def test_worker_rows_hold_no_more_than_in_process_rows(monkeypatch):
     inst = generate(n=30, m=256, W=16, seed=7, epsilon=0.5)
     # A first pool build loads the pool's modules and the timeline's lazily
     # built columns; neither measurement may count them.
-    monkeypatch.setattr(incsp.apsp, "_worker_count", lambda: 3)
+    monkeypatch.setattr(incsp.forkpool, "worker_count", lambda: 3)
     build_apsp(inst)
-    monkeypatch.setattr(incsp.apsp, "_worker_count", lambda: 1)
+    monkeypatch.setattr(incsp.forkpool, "worker_count", lambda: 1)
     in_process = _traced_bytes_held(lambda: build_apsp(inst))
-    monkeypatch.setattr(incsp.apsp, "_worker_count", lambda: 3)
+    monkeypatch.setattr(incsp.forkpool, "worker_count", lambda: 3)
     assert _traced_bytes_held(lambda: build_apsp(inst)) <= in_process
 
 
@@ -151,7 +152,7 @@ def test_worker_rows_hold_no_more_than_in_process_rows(monkeypatch):
 )
 def test_failed_build_leaves_no_child(monkeypatch, failing, how, error, match):
     # Source 0 is in the caller's share, source 1 in the first worker's.  A
-    # pool thread left running would make _worker_count() return 1 and so
+    # pool thread left running would make worker_count() return 1 and so
     # quietly serialise every later build.
     def broken(instance, **kwargs):
         if instance.source == failing:
@@ -161,7 +162,7 @@ def test_failed_build_leaves_no_child(monkeypatch, failing, how, error, match):
         return build_offline(instance, **kwargs)
 
     monkeypatch.setattr(incsp.apsp, "build_offline", broken)
-    monkeypatch.setattr(incsp.apsp, "_worker_count", lambda: 3)
+    monkeypatch.setattr(incsp.forkpool, "worker_count", lambda: 3)
     with pytest.raises(error, match=match):
         build_apsp(generate(n=8, m=32, W=8, seed=1, epsilon=0.5))
     with pytest.raises(ChildProcessError):
@@ -173,7 +174,7 @@ def test_one_worker_build_loads_no_pool():
     # A fresh interpreter, since this one may have loaded the pool already.
     code = (
         "import sys, incsp, incsp.apsp\n"
-        "incsp.apsp._worker_count = lambda: 1\n"
+        "incsp.forkpool.worker_count = lambda: 1\n"
         "incsp.build_apsp(incsp.generate(n=6, m=16, W=8, seed=3, epsilon=0.5))\n"
         "sys.exit('concurrent.futures.process' in sys.modules)\n"
     )
@@ -182,7 +183,7 @@ def test_one_worker_build_loads_no_pool():
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity on this platform")
 def test_one_worker_per_usable_cpu():
-    assert incsp.apsp._worker_count() == len(os.sched_getaffinity(0))
+    assert incsp.forkpool.worker_count() == len(os.sched_getaffinity(0))
 
 
 def test_one_worker_while_another_thread_runs(monkeypatch):
@@ -194,7 +195,7 @@ def test_one_worker_while_another_thread_runs(monkeypatch):
     thread = threading.Thread(target=release.wait)
     thread.start()
     try:
-        assert incsp.apsp._worker_count() == 1
+        assert incsp.forkpool.worker_count() == 1
         assert build_apsp(generate(n=6, m=16, W=8, seed=3, epsilon=0.5)).n == 6
     finally:
         release.set()

@@ -1,11 +1,18 @@
+import gc
 import math
+import os
+import threading
 from bisect import bisect_left, bisect_right
+from concurrent.futures.process import BrokenProcessPool
 from itertools import accumulate
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import incsp.forkpool
+import incsp.offline
+from incsp.apsp import build_apsp
 from incsp.bucketing import derive_internal_epsilon
 from incsp.model import UNREACHABLE, parse_instance, prepare_for_build
 from incsp.offline import (
@@ -21,8 +28,9 @@ from incsp.offline import (
     time_ancestors,
     tree_level,
 )
+from incsp.online import start_online
 from incsp.oracle import verify_offline
-from incsp.workload import generate
+from incsp.workload import PerturbationSpec, generate, perturb
 from tests.conftest import T1_ORACLE_ROWS, assert_alive_sets_nested, estimate_at, exact_distance_table
 
 
@@ -512,3 +520,134 @@ def test_dijkstra_seeds_and_last_hop_match_a_synthetic_source_and_target(case):
     got = dijkstra(adj, seeds, bound, hops.__getitem__)
     assert repr(got) == repr(full.get(target, UNREACHABLE))
     assert got == min([bound, *(seeded[u] + hops[u] for u in seeded)])
+
+
+# -- the build in two processes ------------------------------------------------
+
+
+def _forced_parallel(monkeypatch, workers):
+    """Build in halves from m = 4 on, with `workers` usable CPUs; returns a list that counts the caller's decodes."""
+    decodes = []
+    decode = OfflineStructure._decode_nodes
+
+    def counted(self, *args):
+        decodes.append(self.m)
+        return decode(self, *args)
+
+    monkeypatch.setattr(incsp.offline, "PARALLEL_MIN_M", 4)
+    monkeypatch.setattr(incsp.forkpool, "worker_count", lambda: workers)
+    monkeypatch.setattr(OfflineStructure, "_decode_nodes", counted)
+    return decodes
+
+
+def _sequential(padded, **kwargs):
+    workers = incsp.forkpool.worker_count
+    incsp.forkpool.worker_count = lambda: 1
+    try:
+        return build_offline(padded, **kwargs)
+    finally:
+        incsp.forkpool.worker_count = workers
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_build_in_halves_equals_the_sequential_build(monkeypatch, workers, seed):
+    # n=30, m=128: some right-half nodes hold a vertex alive at inf, which
+    # the decode must map back to inf.
+    padded = prepare_for_build(generate(n=30, m=128, W=8, seed=seed, epsilon=0.5))
+    decodes = _forced_parallel(monkeypatch, workers)
+    expected = _sequential(padded)
+    assert not decodes
+    built = build_offline(padded)
+    assert decodes == ([padded.m] if workers > 1 else [])
+    right = range(padded.m // 2 + 1, padded.m)
+    assert any(UNREACHABLE in built.nodes[mid].alive_estimates.values() for mid in right)
+    assert structures_equal(built, expected)
+    assert all(built.nodes[mid].alive_edges == expected.nodes[mid].alive_edges for mid in range(1, padded.m))
+    assert built.entry_times == expected.entry_times
+    assert vars(built.stats) == vars(expected.stats)
+    bare = build_offline(padded, with_entry_times=False)
+    assert bare.entry_times is None
+    assert structures_equal(bare, expected) and vars(bare.stats) == vars(expected.stats)
+
+
+@pytest.mark.parametrize("kind, kwargs", [("replace", {"p": 0.05}), ("window_shuffle", {"k": 8})])
+def test_online_replay_on_a_build_in_halves_matches_a_fresh_build(monkeypatch, kind, kwargs):
+    inst = generate(n=20, m=128, W=8, seed=5, epsilon=0.5)
+    pred = perturb(inst, PerturbationSpec(kind=kind, seed=5, **kwargs))
+    sequential = start_online(inst, pred)
+    decodes = _forced_parallel(monkeypatch, 2)
+    engine = start_online(inst, pred)
+    assert decodes == [engine.m]
+    for edge in engine.instance.sigma:
+        engine.insert(edge)
+        sequential.insert(edge)
+        assert repr(engine.D) == repr(sequential.D)
+    assert engine.matches_fresh_build()
+
+
+def test_no_build_apsp_share_builds_in_halves(monkeypatch):
+    # With the threshold at 4 every per-source build is large enough, but
+    # the caller's share runs while its pool is open and each worker's
+    # inside it, so none may fork again.  A worker inherits the patch below,
+    # and its exception would reach the caller.
+    def nested(self, with_cells):
+        raise AssertionError(f"a build_apsp share forked from pid {os.getpid()}")
+
+    _forced_parallel(monkeypatch, 3)
+    monkeypatch.setattr(OfflineStructure, "_build_in_halves", nested)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    apsp = build_apsp(generate(n=7, m=64, W=8, seed=3, epsilon=0.5))
+    assert apsp.n == 7
+    assert len(forks) == 2  # the pool's two workers, forked in the caller
+
+
+@pytest.mark.parametrize("frozen_before", [False, True])
+@pytest.mark.parametrize("enabled_before", [True, False])
+def test_build_in_halves_leaves_the_gc_as_it_found_it(monkeypatch, frozen_before, enabled_before):
+    padded = prepare_for_build(generate(n=12, m=64, W=8, seed=4, epsilon=0.5))
+    decodes = _forced_parallel(monkeypatch, 2)
+    decode, during = OfflineStructure._decode_nodes, []
+    monkeypatch.setattr(OfflineStructure, "_decode_nodes", lambda self, *a: during.append(gc.get_freeze_count()) or decode(self, *a))
+    gc.collect()
+    if frozen_before:
+        gc.freeze()
+    if not enabled_before:
+        gc.disable()
+    try:
+        count = gc.get_freeze_count()
+        built = build_offline(padded)
+        assert (gc.get_freeze_count(), gc.isenabled()) == (count, enabled_before)
+    finally:
+        gc.enable()
+        gc.unfreeze()
+    assert decodes == [padded.m]
+    assert during[0] > 0 and (during[0] == count or not frozen_before)  # frozen while the pool was open
+    assert structures_equal(built, _sequential(padded))
+
+
+@pytest.mark.parametrize(
+    ("where", "error", "match"),
+    [("caller-half", ArithmeticError, "caller"), ("worker-half", ArithmeticError, "worker"),
+     ("worker-dies", BrokenProcessPool, None)],
+)
+def test_failed_build_in_halves_leaves_no_child(monkeypatch, where, error, match):
+    cells = OfflineStructure._witness_cells
+
+    def broken(self, mids):
+        in_worker = mids.start > 1  # the caller's cells start at midpoint 1, the worker's at m / 2 + 1
+        if where == ("worker-half" if in_worker else "caller-half"):
+            raise ArithmeticError(f"the {'worker' if in_worker else 'caller'}'s half fails")
+        if where == "worker-dies" and in_worker:
+            os._exit(3)
+        return cells(self, mids)
+
+    _forced_parallel(monkeypatch, 2)
+    monkeypatch.setattr(OfflineStructure, "_witness_cells", broken)
+    with pytest.raises(error, match=match):
+        build_offline(prepare_for_build(generate(n=12, m=64, W=8, seed=4, epsilon=0.5)))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert threading.active_count() == 1

@@ -16,6 +16,7 @@ from incsp.model import (
 )
 from incsp.offline import OfflineStructure, SolveCounters, _InputDiff, structures_equal, time_ancestors, time_chain
 from incsp.online import OnlineEngine, start_online
+from incsp.oracle import dijkstra_exact
 from incsp.workload import PerturbationSpec, generate, perturb
 from tests.conftest import T1_ORACLE_ROWS, W4_TEXT, assert_alive_sets_nested, estimate_at, exact_distance_table
 
@@ -523,6 +524,41 @@ def test_D_matches_structure_after_every_arrival(seed, n, m, spec):
         assert engine.D == [estimate_at(s, v, engine.t) for v in range(engine.n)]
     # nodes off the last chains may still be pending until the flush
     assert_alive_sets_nested(engine.structure)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(3, 10),
+    m=st.integers(2, 64),
+    p=st.sampled_from([0.05, 0.1, 0.3]),
+    W=st.integers(1, 6),
+)
+def test_recompute_base_equals_a_full_recompute_after_every_arrival(seed, n, m, p, W):
+    # An absent arrival skips the Dijkstra when neither its edge nor the
+    # dropped one can move a distance; base_m and the moved map must still
+    # equal a full recompute's.
+    assume(m + math.ceil(p * m) <= n * (n - 1) * W)  # distinct triples for the timeline and the replacements
+    inst = generate(n=n, m=m, W=W, seed=seed, epsilon=0.5)
+    engine = start_online(inst, perturb(inst, PerturbationSpec("replace", seed=seed, p=p)))
+    s = engine._structure
+    recompute = s.recompute_base
+    calls = []
+
+    def checked(arrived, dropped):
+        before = list(s.base_m)
+        moved = recompute(arrived, dropped)
+        exact = dijkstra_exact(list(engine.timeline), engine.n, engine.source)
+        assert s.base_m == exact
+        assert moved == {v: before[v] for v in range(engine.n) if before[v] != exact[v]}
+        calls.append(arrived)
+        return moved
+
+    s.recompute_base = checked
+    for edge in engine.instance.sigma:
+        engine.insert(edge)
+    assert len(calls) == engine.counters.case_counts["absent"]
+    assert engine.matches_fresh_build()
 
 
 def _checked_delta_kept(kept):
