@@ -210,6 +210,20 @@ MUTANTS = [
         ("tests/test_cli.py", "-k", "pinned"),
     ),
     Mutant(
+        "move-forward-keeps-the-index-order",  # the moved edge stays where it was in its head's in-edge list
+        "incsp/model.py",
+        "        cols.relink(edge_id, edge_id)\n",
+        "",
+        ("tests/test_model.py", "-k", "in_edge_index"),
+    ),
+    Mutant(
+        "alive-edges-read-stops-before-mid",  # the edge at position mid is left out of the patch graph
+        "incsp/offline.py",
+        "            k = bisect_right(into[v], mid, key=key)\n",
+        "            k = bisect_left(into[v], mid, key=key)\n",
+        ("tests/test_pinned.py", "-k", "offline_build"),
+    ),
+    Mutant(
         "check-arrival-no-conflict",  # an arrival that reuses a known id with another triple gets through
         "incsp/model.py",
         "    if known is not None and known != edge.triple:\n",

@@ -49,9 +49,16 @@ class BucketTable:
     # c = 0, else the c-th coarse value from the top.  Built with the table,
     # so every structure on it shares the tuple.
     answers: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    # coarse_cell_of_value of every finite value round_up_value returns:
+    # each fine grid point, and 0.0, which lies in cell 0 (no alive estimate
+    # is 0.0, since only the source is at distance 0).  Built with the
+    # table, so a node's estimates need no bisect.
+    cell_of_fine: dict[float, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "answers", (_INF, *reversed(self.coarse)))
+        cells = {value: bisect_left(self.coarse, value) for value in (0.0, *self.fine)}
+        object.__setattr__(self, "cell_of_fine", cells)
 
     @property
     def k_fine(self) -> int:

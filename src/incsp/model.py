@@ -21,6 +21,7 @@ a distance.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -84,6 +85,11 @@ class EdgeColumns:
     or ``absent`` (length + 1) once it has left the timeline.  order lists
     the edge ids by position.  Keys cost nothing in proportion to an id's
     value, so huge and negative ids need no special case.
+
+    into is the per-head in-edge index: into[v] lists the ids of the
+    timeline's edges into v in position order, and hops[v] their
+    (tail, weight) pairs in the same order, so the edges into v among the
+    first t are the first bisect_right(into[v], t, key=position) of each.
     """
 
     def __init__(self, edges: Sequence[EdgeInsert]):
@@ -93,6 +99,22 @@ class EdgeColumns:
         self.tail: dict[int, int] = {e.edge_id: e.tail for e in edges}
         self.weight: dict[int, int] = {e.edge_id: e.weight for e in edges}
         self.position: dict[int, int] = {eid: p for p, eid in enumerate(self.order, start=1)}
+        self.into: dict[int, list[int]] = {}
+        self.hops: dict[int, list[tuple[int, int]]] = {}
+        for e in edges:
+            self.into.setdefault(e.head, []).append(e.edge_id)
+            self.hops.setdefault(e.head, []).append((e.tail, e.weight))
+
+    def relink(self, gone: int, edge_id: int) -> None:
+        """Take edge gone out of its head's index lists, then put edge_id into its head's at its position."""
+        v = self.head[gone]
+        i = self.into[v].index(gone)
+        del self.into[v][i], self.hops[v][i]
+        v = self.head[edge_id]
+        into = self.into.setdefault(v, [])
+        i = bisect_left(into, self.position[edge_id], key=self.position.__getitem__)
+        into.insert(i, edge_id)
+        self.hops.setdefault(v, []).insert(i, (self.tail[edge_id], self.weight[edge_id]))
 
     def position_of(self, edge_id: int) -> int:
         """1-based position of the edge, or ``absent`` when the timeline does not hold it."""
@@ -115,9 +137,10 @@ class InsertSequence:
     Two corrections rewrite the order: move_forward pulls an edge forward
     and shifts the displaced block right, insert_truncating splices in a
     new edge and drops the last one.  Both keep the edge list and the
-    columns current, at a cost linear in the shifted span.  Every
-    structure built on a sequence shares its columns, so only an online
-    engine calls the corrections, and only on the copy it owns.
+    columns current, at a cost linear in the shifted span plus the
+    in-degrees of the heads whose index lists change.  Every structure
+    built on a sequence shares its columns, so only an online engine calls
+    the corrections, and only on the copy it owns.
     """
 
     def __init__(self, edges: Iterable[EdgeInsert], real_len: int | None = None):
@@ -171,9 +194,12 @@ class InsertSequence:
         if t > t_prime:
             raise ValueError("can only move an edge toward the front")
         self.edges.insert(t - 1, self.edges.pop(t_prime - 1))
-        order = self.columns.order
-        order.insert(t - 1, order.pop(t_prime - 1))
+        cols = self.columns
+        cols.order.insert(t - 1, cols.order.pop(t_prime - 1))
         self._reindex(t, t_prime)
+        # The shifted block keeps its relative order, so only the moved edge
+        # changes place in its head's index lists.
+        cols.relink(edge_id, edge_id)
 
     def insert_truncating(self, edge: EdgeInsert, t: int) -> EdgeInsert:
         """Insert at position t, drop the last edge, and return it."""
@@ -188,6 +214,7 @@ class InsertSequence:
         cols.head[eid], cols.tail[eid], cols.weight[eid] = edge.head, edge.tail, edge.weight
         cols.position[dropped.edge_id] = cols.absent
         self._reindex(t, len(self))
+        cols.relink(dropped.edge_id, eid)
         return dropped
 
 

@@ -24,25 +24,25 @@ the array before recursing and restores the old entries afterwards, so
 whether a vertex is alive at an interval end is a dict hit on the end node
 and a dead tail's estimate at mid is one array read.
 
-Edge scans: build and repair scan the same list at a node, the edges alive
-at its hi end (every edge when hi = m); a right child keeps only those whose
-head is in its parent's alive set.  Alive sets nest, so that loses nothing
-the child could hold alive, and equals the parent's inner list (its own list
-cut to its alive heads), which a node just solved hands down.  Every head,
-tail, weight and position is one lookup by edge id in the timeline's
-EdgeColumns (model.py), built once per timeline and shared by every
-structure on it.
+Edge reads: a node's alive set is read from its two end maps alone (the
+smaller one is iterated), and its alive edges are the edges of prefix mid
+into that set.  The timeline's EdgeColumns (model.py), built once per
+timeline and shared by every structure on it, lists each head's in-edges
+in position order beside their (tail, weight) hops, so an alive vertex's
+alive edges are the front of its list, cut by one bisect at mid.  Build and
+repair read the same edges, and nodes store none: alive_edges derives them
+from the timeline, which the online engine's corrections keep current.
 
 Building in two processes: below the root the two halves of the tree read
 only the root, the above array and the columns.  So from m = PARALLEL_MIN_M
-on, where forkpool has a spare worker, build_offline solves the root, then
-a forked worker builds the right half while the caller builds the left.
-What crosses the pipe is the worker's half as flat arrays (per-node counts,
-vertex ids, fine-grid indices with one code for inf, and timeline positions
-of the alive edges), its SolveCounters and its half's entry-row witness
-cells; the caller rebuilds the nodes on its own grid floats and edge ids,
-adds the counters and takes the cellwise min of the cells.  A build inside
-a pool worker, or while the caller holds a pool open, never forks.
+on, where forkpool has a spare worker, build_offline solves the root, then a
+forked worker builds the right half while the caller builds the left.  What
+crosses the pipe is the worker's half as flat arrays (per-node alive counts,
+vertex ids, and fine-grid indices with one code for inf), its SolveCounters
+and its half's entry-row witness cells; the caller rebuilds the nodes on its
+own grid floats, adds the counters and takes the cellwise min of the cells.
+A build inside a pool worker, or while the caller holds a pool open, never
+forks.
 
 Query tables: once the tree is built, each vertex's row records the
 earliest time its estimate lies in each coarse grid cell or a lower one,
@@ -54,15 +54,14 @@ OfflineStructure adds the tree, end maps and repair state.  Where nothing
 repairs a build (all-pairs keeps one per source), a QueryTable sharing its
 rows outlives the tree.
 
-Repair: the online engine changes the structure only through
-mark_prefixes, recompute_base, settle_chain and flush, and repairs on
-demand (change propagation in the style of Ramalingam and Reps, driven by
-demand as in Adapton).  A node's result depends only on its alive set, its
-alive edges and the inherited estimates of its dead tails; those in turn
-come from its two end maps, the prefix at its midpoint and the above array,
-all of which sit on its own ancestor chain.  The edges_hi list it filters
-decides nothing beyond them (see the repair pruning notes in
-OfflineStructure).  So an arrival solves nothing when it is recorded: it
+Repair: the online engine changes the structure only through mark_prefixes,
+recompute_base, settle_chain and flush, and repairs on demand (change
+propagation in the style of Ramalingam and Reps, driven by demand as in
+Adapton).  A node's result depends only on its alive set, its alive edges
+and the inherited estimates of its dead tails; those in turn come from its
+two end maps, the prefix at its midpoint and the above array (see the repair
+pruning notes in OfflineStructure), and the maps and the array sit on its
+own ancestor chain.  So an arrival solves nothing when it is recorded: it
 only adds to the pending map, which holds one input diff per dirty node.  A
 diff holds the vertices whose entry in either end map moved, a stale map
 {v: previous above[v]} of the inherited estimates that moved, and the net
@@ -73,13 +72,12 @@ diff of the moved entries.  settle_chain(t) then settles the ancestor chain
 of time t root first, and flush() settles the whole tree with the build's
 walk.  A node with a diff is kept without a Dijkstra when nothing in its
 vertex diff can reach its alive set or alive edges and every edge of its
-delta provably moves no distance (the node then only swaps the delta into
-its alive edges), else re-solved, scanning the same edge list a build
-would; either way it forwards how its own estimates and inherited values
-moved to both children's pending diffs, which accumulate until a later
-chain or flush reaches them.  A node dirtied k times is thus solved at most
-once for all of them.  A node without a diff equals a fresh build's once
-its ancestors do.
+delta provably moves no distance (its alive edges follow the timeline, so
+the node stays as it is), else re-solved as a build solves it; either way it
+forwards how its own estimates and inherited values moved to both children's
+pending diffs, which accumulate until a later chain or flush reaches them.
+A node dirtied k times is thus solved at most once for all of them.  A node
+without a diff equals a fresh build's once its ancestors do.
 """
 
 from __future__ import annotations
@@ -89,8 +87,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, islice
 from typing import NamedTuple
 
 from . import forkpool
@@ -100,8 +97,8 @@ from .model import UNREACHABLE, EdgeInsert, ProblemInstance
 # build_offline builds the two halves of a tree in two processes from this
 # timeline length on (at least 4, so that the root has two children).
 # Medians of 5 builds on 2 vCPUs, parallel against sequential: n=150
-# m=1024 0.055 against 0.033 s, n=500 m=4096 0.231 against 0.253 s, n=1000
-# m=8192 0.52 against 0.65 s.  Every online and all-pairs bench build is
+# m=1024 0.054 against 0.031 s, n=500 m=4096 0.201 against 0.243 s, n=1000
+# m=8192 0.53 against 0.69 s.  Every online and all-pairs bench build is
 # shorter, so those stay sequential.
 PARALLEL_MIN_M = 8192
 
@@ -138,7 +135,6 @@ class RecursionNode:
 
     mid: int
     alive_estimates: dict[int, float]
-    alive_edges: list[int]
 
 
 class _InputDiff(NamedTuple):
@@ -150,8 +146,7 @@ class _InputDiff(NamedTuple):
     version saw; delta is the net change of the prefix at its midpoint among
     the edges into its stored alive set, {edge id: gained?}, empty when that
     is unchanged.  Each entry owns its delta, which mark_prefixes updates in
-    place.  How edges_hi changed is not part of it: see the repair pruning
-    notes in OfflineStructure.
+    place.
     """
 
     lo: set[int]
@@ -196,8 +191,9 @@ class SolveCounters:
     after a build every entry would read 1, so a build's is None.  Nodes
     with a pending diff that a repair keeps without a Dijkstra, those whose
     prefix delta was proved harmless included, count in nodes_skipped only.
-    scan_work sums the lengths of the edge lists the solved nodes scanned,
-    the same narrowed lists in build and repair (see _edge_list).
+    scan_work sums, over the solved nodes, the entries of the smaller end
+    map tested for the alive set plus the alive edges read from the
+    timeline's in-edge index, the same in build and repair.
     """
 
     def __init__(self, n: int, m: int, per_node_rebuilds: bool = False):
@@ -354,95 +350,86 @@ class OfflineStructure(QueryTable):
 
     # -- solving -------------------------------------------------------------
 
-    def _solve_node(self, lo, hi, lo_est, hi_est, edges_hi, above, sink):
-        """Solve and store the node covering [lo, hi].
+    def _solve_node(self, lo, hi, lo_est, hi_est, above, sink):
+        """Solve and store the node covering [lo, hi]; returns the node.
 
         lo_est and hi_est map the vertices alive at each interval end to
-        their estimates there; a vertex missing from either is dead here.
-        edges_hi is the node's edge list (see _edge_list); alive edges here
-        are a subset of it.  above[v] is v's estimate at its deepest alive
-        strict ancestor (the time-m anchor when there is none), which is
-        where a dead tail's estimate at mid settles.  Returns the node and
-        inner, the edges of edges_hi whose head is in its alive set,
-        whatever their position: the right child's edge list.
+        their estimates there; a vertex missing from either is dead here,
+        and one present in both with different estimates is alive.  above[v]
+        is v's estimate at its deepest alive strict ancestor (the time-m
+        anchor when there is none), which is where a dead tail's estimate at
+        mid settles.
         """
         mid = (lo + hi) // 2
         cols = self.cols
-        head_of, tail_of, weight_of, pos = cols.head, cols.tail, cols.weight, cols.position
+        into, hops, key = cols.into, cols.hops, cols.position.__getitem__
+        small, large = (lo_est, hi_est) if len(lo_est) <= len(hi_est) else (hi_est, lo_est)
+        alive = [v for v, est in small.items() if large.get(v, est) != est]
 
-        heads = [head_of[eid] for eid in edges_hi]
-        alive_set = set()
-        for v in set(heads):
-            est_lo = lo_est.get(v)
-            if est_lo is not None:
-                est_hi = hi_est.get(v)
-                if est_hi is not None and est_lo != est_hi:
-                    alive_set.add(v)
-        inner = [eid for eid, v in zip(edges_hi, heads) if v in alive_set]
-        alive_edges = [eid for eid in inner if pos[eid] <= mid]
-
-        # Patch graph: alive tails copy their edge, dead tails fold into
-        # seeded labels using their settled estimate at mid (resolved strictly
-        # above this node; the node itself is being recomputed).
-        adj: dict[int, list[tuple[int, float]]] = {v: [] for v in alive_set}
+        # Patch graph over v's alive edges, the edges into v among the first
+        # mid: alive tails copy their edge, dead tails fold into one seeded
+        # label per head using their settled estimate at mid (resolved
+        # strictly above this node; the node itself is being recomputed).
+        adj: dict[int, list[tuple[int, float]]] = {v: [] for v in alive}
         seeds: dict[int, float] = {}
-        for eid in alive_edges:
-            u = tail_of[eid]
-            if u in alive_set:
-                adj[u].append((head_of[eid], weight_of[eid]))
-                continue
-            du = above[u]
-            if du == UNREACHABLE:
-                continue
-            length = du + weight_of[eid]
-            v = head_of[eid]
-            if length < seeds.get(v, UNREACHABLE):
-                seeds[v] = length
+        read = 0
+        for v in alive:
+            k = bisect_right(into[v], mid, key=key)
+            read += k
+            seed = UNREACHABLE
+            for u, w in hops[v][:k]:
+                if u in adj:
+                    adj[u].append((v, w))
+                elif (length := above[u] + w) < seed:
+                    seed = length
+            if seed != UNREACHABLE:
+                seeds[v] = seed
 
-        dist = dijkstra(adj, seeds)
-        round_up = self.table.round_up_value
-        node = RecursionNode(mid, {v: round_up(dist.get(v, UNREACHABLE)) for v in alive_set}, alive_edges)
-        self.nodes[mid] = node
-        sink.node_solved(mid, len(edges_hi), len(alive_edges), alive_set)
-        return node, inner
+        # Rounded up onto the fine grid as BucketTable.round_up_value rounds;
+        # the search reaches only alive vertices, and the rest stay at inf.
+        fine = self.table.fine
+        top, estimates = fine[-1], dict.fromkeys(alive, UNREACHABLE)
+        for v, d in dijkstra(adj, seeds).items():
+            estimates[v] = fine[bisect_left(fine, d)] if 0 < d <= top else (0.0 if d == 0 else UNREACHABLE)
+        node = self.nodes[mid] = RecursionNode(mid, estimates)
+        sink.node_solved(mid, len(small) + read, read, alive)
+        return node
+
+    def alive_edges(self, node: RecursionNode) -> list[int]:
+        """node's alive edges, derived from the timeline: the edges of prefix
+        node.mid into its alive set, by head and then by position."""
+        into, key, mid = self.cols.into, self.cols.position.__getitem__, node.mid
+        return [eid for v in node.alive_estimates for eid in into[v][: bisect_right(into[v], mid, key=key)]]
 
     # -- repair pruning ----------------------------------------------------------
     #
     # A node's result depends only on its alive set, its alive edges and the
     # inherited estimates of the dead tails among them.  The alive set is the
-    # heads of edges_hi that are alive at both ends with different estimates,
-    # but the edges_hi filter never decides it.  Estimates are never below
-    # the exact distances, so a vertex with no in-edge among the first hi
-    # edges has an infinite estimate at hi and at lo and is not alive (the
-    # source holds 0 throughout and is never alive either).  A
-    # vertex present in hi_est is alive at the node owning hi (or hi = m),
-    # and edges_hi holds all its in-edges among the first hi edges (alive
-    # edges at hi, by induction from the full timeline at m; the right
-    # child's narrowed list keeps every edge into the parent's alive set,
-    # which holds any vertex alive in the child).  So the alive set is the
     # set of vertices alive at both ends with different estimates, and the
-    # alive edges are all edges of prefix mid into it.  A node is settled
+    # alive edges are all edges of prefix mid into it.  Estimates are never
+    # below the exact distances, so an alive vertex, finite at hi, has an
+    # in-edge among the first hi edges and a list in the in-edge index (the
+    # source holds 0 throughout and is never alive).  A node is settled
     # after its ends (both are ancestors), so its end maps are those of a
     # fresh build, and the result can move only through a vertex whose end
-    # entry moved, a change to the prefix at mid, or a stale dead tail.
-    # Edges that edges_hi gains or loses need no check of their own: the
+    # entry moved, a change to the prefix at mid, or a stale dead tail.  The
     # arriving edge enters the prefixes through the prefix marks, and the
     # truncated last edge sits at position m, in no internal prefix.  With
     # the alive set fixed, a prefix change moves the alive edges by exactly
     # the delta the marks recorded, and _delta_kept proves from the stored
     # rounded estimates alone that no rounded estimate moves: the losses lie
     # off every shortest path inside the grid, and the gains bring no
-    # distance lower inside it.  The kept alive edges are then the fresh
-    # build's.
+    # distance lower inside it.  The kept node's alive edges, read from the
+    # timeline, are then the fresh build's.
 
     def _node_kept(self, node, lo_est, hi_est, diff: _InputDiff) -> bool:
         """Whether node keeps its alive set, and its patch graph apart from diff.delta.
 
         A vertex whose end entry moved keeps its alive status when it was
         alive and still differs across the ends, or was dead and now is
-        missing from an end or equal at both; whether it heads an edge of
-        edges_hi follows from that (see the repair pruning notes above).
-        No stored alive edge may have a stale dead tail.
+        missing from an end or equal at both.  No alive edge of the stored
+        version may have a stale dead tail; those edges are the ones the
+        timeline gives now, less the delta's gains, plus its losses.
         """
         alive = node.alive_estimates
         for v in chain(diff.lo, diff.hi):
@@ -450,12 +437,13 @@ class OfflineStructure(QueryTable):
             est_hi = hi_est.get(v)
             if (v in alive) != (est_lo is not None and est_hi is not None and est_lo != est_hi):
                 return False
-        stale = diff.stale
+        stale, delta = diff.stale, diff.delta
         if stale:
             tail = self.cols.tail
-            for eid in node.alive_edges:
+            lost = [eid for eid, gained in delta.items() if not gained]
+            for eid in chain(self.alive_edges(node), lost):
                 u = tail[eid]
-                if u in stale and u not in alive:
+                if u in stale and u not in alive and not delta.get(eid):
                     return False
         return True
 
@@ -504,20 +492,6 @@ class OfflineStructure(QueryTable):
         lo_est = self._est_0 if lo == 0 else self.nodes[lo].alive_estimates
         return lo_est, self._est_m if hi == self.m else self.nodes[hi].alive_estimates
 
-    def _edge_list(self, lo: int, hi: int) -> list[int]:
-        """The edges the node covering [lo, hi] scans, read from its ancestors.
-
-        They are the alive edges at hi (every edge when hi = m); a right
-        child, whose parent is the node at lo, keeps only those whose head
-        the parent holds alive.  Alive sets nest, so this is the parent's
-        inner list, edge for edge and in the same order.
-        """
-        edges = self.cols.order if hi == self.m else self.nodes[hi].alive_edges
-        if lo and lo & -lo == hi - lo:  # lo is the parent's midpoint
-            head, alive = self.cols.head, self.nodes[lo].alive_estimates
-            edges = [eid for eid in edges if head[eid] in alive]
-        return edges
-
     # -- demand-driven repair --------------------------------------------------
 
     def _push(self, mid: int, lo: set[int], hi: set[int], stale: dict[int, float]) -> None:
@@ -558,52 +532,43 @@ class OfflineStructure(QueryTable):
                 if loses and delta.pop(lost, None) is None:
                     delta[lost] = False
 
-    def _settle(self, lo: int, hi: int, above: list[float], sink: SolveCounters, edges=None):
-        """Bring the node covering [lo, hi] up to date; its ancestors must be.
+    def _settle(self, lo: int, hi: int, above: list[float], sink: SolveCounters) -> RecursionNode:
+        """Bring the node covering [lo, hi] up to date and return it; its ancestors must be.
 
-        above holds the node's inherited estimates and edges its edge list
-        (None: derive it if the node is solved).  A node not yet built is
+        above holds the node's inherited estimates.  A node not yet built is
         solved.  A built node without a pending diff is returned as it is.
-        Otherwise it is kept when _node_kept and _delta_kept both hold, its
-        alive edges updated by the delta on the same node object, and
-        re-solved else; how its estimates and inherited values moved goes
-        to both children's pending diffs.  Returns the node and, when it
-        was just solved, its inner list (else None).
+        Otherwise it is kept when _node_kept and _delta_kept both hold (its
+        alive edges follow the timeline), and re-solved else; how its
+        estimates and inherited values moved goes to both children's pending
+        diffs.
         """
         mid = (lo + hi) // 2
         old = self.nodes[mid]
         if old is None:
-            edges = self._edge_list(lo, hi) if edges is None else edges
-            return self._solve_node(lo, hi, *self._ends(lo, hi), edges, above, sink)
+            return self._solve_node(lo, hi, *self._ends(lo, hi), above, sink)
         diff = self.pending.pop(mid, None)
         if diff is None:
-            return old, None
+            return old
         lo_est, hi_est = self._ends(lo, hi)
-        delta = diff.delta
-        if self._node_kept(old, lo_est, hi_est, diff) and self._delta_kept(old, delta, above):
-            if delta:
-                kept = [eid for eid in old.alive_edges if eid not in delta]
-                old.alive_edges = kept + [eid for eid, gained in delta.items() if gained]
-            node, inner, moved = old, None, set()
+        if self._node_kept(old, lo_est, hi_est, diff) and self._delta_kept(old, diff.delta, above):
+            node, moved = old, set()
             sink.nodes_skipped += 1
         else:
-            edges = self._edge_list(lo, hi) if edges is None else edges
-            node, inner = self._solve_node(lo, hi, lo_est, hi_est, edges, above, sink)
+            node = self._solve_node(lo, hi, lo_est, hi_est, above, sink)
             moved = _moved_keys(node.alive_estimates, old.alive_estimates)
         if hi - lo > 2:
             stale = _children_stale(diff.stale, above, node.alive_estimates, old.alive_estimates, moved)
             self._push((lo + mid) // 2, diff.lo, moved, stale)
             self._push((mid + hi) // 2, moved, diff.hi, stale)
-        return node, inner
+        return node
 
-    def _walk(self, lo: int, hi: int, above: list[float], sink: SolveCounters, edges=None) -> None:
+    def _walk(self, lo: int, hi: int, above: list[float], sink: SolveCounters) -> None:
         """Settle the node covering [lo, hi], then its subtree, root first.
 
         above holds the node's inherited estimates; the node's own are
-        written into it for the recursion and restored afterwards.  A node
-        just solved hands its inner list to its right child as edges.
+        written into it for the recursion and restored afterwards.
         """
-        node, inner = self._settle(lo, hi, above, sink, edges)
+        node = self._settle(lo, hi, above, sink)
         if hi - lo <= 2:
             return
         mid = (lo + hi) // 2
@@ -612,7 +577,7 @@ class OfflineStructure(QueryTable):
         for v, value in estimates.items():
             above[v] = value
         self._walk(lo, mid, above, sink)
-        self._walk(mid, hi, above, sink, inner)
+        self._walk(mid, hi, above, sink)
         for v, value in zip(estimates, undo):
             above[v] = value
 
@@ -624,20 +589,19 @@ class OfflineStructure(QueryTable):
         """Build the unbuilt tree in two processes; with_cells also returns every node's witness cells.
 
         The caller solves the root, then one forkpool worker builds the
-        right half, taking the root's inner list as its edges, while the
-        caller builds the left half; both read only the root, the above
-        array and the columns they share.  The worker sends back its nodes
-        encoded by _encode_nodes, its SolveCounters and its witness cells;
-        the caller decodes the nodes onto its own grid floats and edge ids,
-        adds the counters and takes the cellwise min of the cells.
+        right half while the caller builds the left half; both read only the
+        root, the above array and the columns they share.  The worker sends
+        back its nodes encoded by _encode_nodes, its SolveCounters and its
+        witness cells; the caller decodes the nodes onto its own grid
+        floats, adds the counters and takes the cellwise min of the cells.
         """
         m, half, sink = self.m, self.m // 2, self.stats
         above = list(self.base_m)
-        root, inner = self._settle(0, m, above, sink)
+        root = self._settle(0, m, above, sink)
         for v, value in root.alive_estimates.items():
             above[v] = value
         right = range(half + 1, m)
-        with forkpool.fork_pool(1, self, above, inner, with_cells) as pool:
+        with forkpool.fork_pool(1, self, above, with_cells) as pool:
             built = pool.submit(_build_right_half)
             self._walk(0, half, above, sink)
             cells = self._witness_cells(range(1, half + 1)) if with_cells else None
@@ -646,40 +610,32 @@ class OfflineStructure(QueryTable):
         sink.add(their_sink)
         return list(map(min, cells, their_cells)) if with_cells else None
 
-    def _encode_nodes(self, mids: range) -> tuple[array, array, array, array]:
-        """The nodes at mids as four flat arrays, for a pipe.
+    def _encode_nodes(self, mids: range) -> tuple[array, array, array]:
+        """The nodes at mids as three flat arrays, for a pipe.
 
-        Per node: its alive count and alive edge count; then its alive
-        vertices, their estimates as fine-grid indices (len(fine) for inf)
-        and its alive edges as timeline positions, each in the node's own
-        order.  Plain pickles of the nodes would give each loaded node its
-        own copies of the ints and floats an in-process tree shares.
+        Per node: its alive count; then its alive vertices and their
+        estimates as fine-grid indices (len(fine) for inf), each in the
+        node's own order.  Plain pickles of the nodes would give each loaded
+        node its own copies of the ints and floats an in-process tree shares.
         """
         fine = self.table.fine
         code = {value: i for i, value in enumerate(fine)}
         code[UNREACHABLE] = len(fine)
-        position = self.cols.position
-        sizes, vertices, grid, positions = array("I"), array("I"), array("I"), array("I")
+        sizes, vertices, grid = array("I"), array("I"), array("I")
         for mid in mids:
-            node = self.nodes[mid]
-            estimates = node.alive_estimates
-            sizes.extend((len(estimates), len(node.alive_edges)))
+            estimates = self.nodes[mid].alive_estimates
+            sizes.append(len(estimates))
             vertices.extend(estimates)
             grid.extend(map(code.__getitem__, estimates.values()))
-            positions.extend(map(position.__getitem__, node.alive_edges))
-        return sizes, vertices, grid, positions
+        return sizes, vertices, grid
 
-    def _decode_nodes(self, mids: range, sizes, vertices, grid, positions) -> None:
-        """Store the nodes _encode_nodes encoded, on this structure's grid floats and edge ids."""
+    def _decode_nodes(self, mids: range, sizes, vertices, grid) -> None:
+        """Store the nodes _encode_nodes encoded, on this structure's grid floats."""
         ids = tuple(range(self.n))
         values = (*self.table.fine, UNREACHABLE)
-        by_position = (None, *self.cols.order)
-        i = j = 0
-        for mid, alive, alive_edges in zip(mids, sizes[::2], sizes[1::2]):
-            estimates = dict(zip(_pick(ids, vertices[i : i + alive]), _pick(values, grid[i : i + alive])))
-            self.nodes[mid] = RecursionNode(mid, estimates, _pick(by_position, positions[j : j + alive_edges]))
-            i += alive
-            j += alive_edges
+        pairs = zip(map(ids.__getitem__, vertices), map(values.__getitem__, grid))
+        for mid, alive in zip(mids, sizes):
+            self.nodes[mid] = RecursionNode(mid, dict(islice(pairs, alive)))
 
     def flush(self, sink: SolveCounters) -> None:
         """Settle every node, root first."""
@@ -720,12 +676,11 @@ class OfflineStructure(QueryTable):
             est[v] = self.base_m[v]
         touched.extend(self._base_moved)
         self._base_moved.clear()
-        top = edges = None
+        top = None
         for mid in mids[keep:]:
             span = mid & -mid
             solved = sink.nodes_solved
-            node, inner = self._settle(mid - span, mid + span, est, sink, edges)
-            edges = inner if t > mid else None  # the next node is the right child
+            node = self._settle(mid - span, mid + span, est, sink)
             if top is None and sink.nodes_solved > solved:
                 top = (mid - span, mid + span)
             alive = node.alive_estimates
@@ -772,13 +727,17 @@ class OfflineStructure(QueryTable):
     # -- query tables ----------------------------------------------------------
 
     def _witness_cells(self, mids: range) -> list[int]:
-        """Cell v * len(coarse) + c: the earliest of mids at which v's estimate lies in coarse cell c (m + 1 when none does)."""
-        k, cell_of = len(self.table.coarse), self.table.coarse_cell_of_value
+        """Cell v * len(coarse) + c: the earliest of mids at which v's estimate lies in coarse cell c (m + 1 when none does).
+
+        Alive estimates lie on the fine grid, so each cell is one lookup in
+        the table's cell_of_fine; an estimate at inf lies in no cell.
+        """
+        k, cell_of = len(self.table.coarse), self.table.cell_of_fine
         cells = [self.m + 1] * (self.n * k)
         for mid in reversed(mids):  # latest first, so each cell ends with its earliest witness
             for v, value in self.nodes[mid].alive_estimates.items():
                 if value != UNREACHABLE:
-                    cells[v * k + cell_of(value)] = mid
+                    cells[v * k + cell_of[value]] = mid
         return cells
 
     def _entry_times_from_tree(self, cells: list[int]) -> list[list[int]]:
@@ -842,21 +801,16 @@ def build_offline(
     return structure
 
 
-def _pick(items: tuple, keys: array) -> list:
-    """[items[k] for k in keys], looked up in C: about twice as fast on the alive edges of half a tree."""
-    return list(itemgetter(*keys)(items)) if len(keys) > 1 else [items[k] for k in keys]
-
-
 def _build_right_half() -> tuple:
     """In a forkpool worker: build the right half of the inherited tree.
 
     Returns its nodes as _encode_nodes encodes them, its SolveCounters and,
     when asked, its witness cells as an array.
     """
-    structure, above, inner, with_cells = forkpool.inherited()
+    structure, above, with_cells = forkpool.inherited()
     m, half = structure.m, structure.m // 2
     sink = SolveCounters(structure.n, m)
-    structure._walk(half, m, above, sink, inner)
+    structure._walk(half, m, above, sink)
     right = range(half + 1, m)
     cells = array("I", structure._witness_cells(right)) if with_cells else None
     return structure._encode_nodes(right), sink, cells
@@ -875,6 +829,6 @@ def structures_equal(a: OfflineStructure, b: OfflineStructure, mids=None) -> boo
         na, nb = a.nodes[mid], b.nodes[mid]
         if na.alive_estimates != nb.alive_estimates:
             return False
-        if set(na.alive_edges) != set(nb.alive_edges):
+        if set(a.alive_edges(na)) != set(b.alive_edges(nb)):
             return False
     return True

@@ -156,3 +156,5 @@ def test_coarse_cell_of_value_matches_scan():
         assert table.coarse_cell_of_value(value) == expected
     with pytest.raises(ValueError):
         table.coarse_cell_of_value(table.coarse[-1] * 2)
+    # The grid map holds the same cell for every finite rounded value.
+    assert table.cell_of_fine == {value: table.coarse_cell_of_value(value) for value in (0.0, *table.fine)}

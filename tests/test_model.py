@@ -1,4 +1,5 @@
 import math
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from incsp.model import (
     UNREACHABLE,
+    EdgeColumns,
     EdgeInsert,
     InsertSequence,
     align_prediction,
@@ -191,3 +193,31 @@ def test_padding_length_is_next_power_of_two(k):
     assert size >= k
     assert size & (size - 1) == 0
     assert size < 2 * k or size == 1 or (size == 2 and k == 1)
+
+
+_triples = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(1, 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda m: st.tuples(
+    st.lists(_triples, min_size=m, max_size=m),
+    st.lists(st.tuples(st.booleans(), st.integers(1, m), st.integers(1, m), _triples), max_size=20),
+)))
+def test_in_edge_index_follows_the_corrections(case):
+    # Four vertices, so heads repeat and each correction reorders a list.
+    # After every move_forward and insert_truncating the index (ids and
+    # hops) equals the one the columns would build from the order alone,
+    # and holds no dropped edge.
+    triples, steps = case
+    seq = InsertSequence([EdgeInsert(i, *triple) for i, triple in enumerate(triples)])
+    cols, next_id, dropped = seq.columns, len(triples), set()
+    for move, a, b, triple in steps:
+        if move:
+            seq.move_forward(cols.order[max(a, b) - 1], min(a, b))
+        else:
+            dropped.add(seq.insert_truncating(EdgeInsert(next_id, *triple), a).edge_id)
+            next_id += 1
+        rebuilt = EdgeColumns([EdgeInsert(eid, cols.tail[eid], cols.head[eid], cols.weight[eid]) for eid in cols.order])
+        assert {v: ids for v, ids in cols.into.items() if ids} == rebuilt.into
+        assert {v: hops for v, hops in cols.hops.items() if hops} == rebuilt.hops
+        assert dropped.isdisjoint(chain.from_iterable(cols.into.values()))

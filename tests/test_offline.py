@@ -206,11 +206,38 @@ def test_alive_edges_are_subsets_of_hi_side(random_case):
         if hi == s.m:
             reference = set(padded.sigma.ids())
         else:
-            reference = set(s.nodes[hi].alive_edges)
-        assert set(node.alive_edges) <= reference
+            reference = set(s.alive_edges(s.nodes[hi]))
+        assert set(s.alive_edges(node)) <= reference
         # every alive vertex is the head of an edge alive at the hi side
         hi_heads = {heads[eid] for eid in reference}
         assert set(node.alive_estimates) <= hi_heads
+
+
+def _assert_alive_edges_are_brute_force(s, sigma):
+    """Every node's derived alive edges are the edges among the first mid of sigma whose head it holds alive."""
+    for mid in range(1, s.m):
+        node = s.nodes[mid]
+        derived = s.alive_edges(node)
+        assert len(derived) == len(set(derived))
+        assert set(derived) == {e.edge_id for e in sigma[:mid] if e.head in node.alive_estimates}
+
+
+@pytest.mark.parametrize("kind, kwargs", [(None, {}), ("window_shuffle", {"k": 8}), ("relocate", {"p": 0.05}),
+                                          ("replace", {"p": 0.05})])
+def test_derived_alive_edges_equal_brute_force(kind, kwargs):
+    # On a build, and on the tree an online replay leaves once flushed,
+    # whose timeline the corrections have rewritten.
+    inst = generate(n=16, m=128, W=8, seed=9, epsilon=0.5)
+    padded = prepare_for_build(inst)
+    if kind is None:
+        _assert_alive_edges_are_brute_force(build_offline(padded), padded.sigma.edges)
+        return
+    engine = start_online(inst, perturb(inst, PerturbationSpec(kind=kind, seed=9, **kwargs)))
+    for edge in engine.instance.sigma:
+        engine.insert(edge)
+    engine.flush()
+    assert engine.counters.sink.nodes_solved
+    _assert_alive_edges_are_brute_force(engine.structure, engine.instance.sigma.edges)
 
 
 def test_alive_sets_nested_along_parents(random_case):
@@ -223,7 +250,7 @@ def test_alive_sets_nested_along_parents(random_case):
 def test_alive_edges_arrive_by_midpoint(random_case):
     padded, s, _ = random_case
     for mid in range(1, s.m):
-        for eid in s.nodes[mid].alive_edges:
+        for eid in s.alive_edges(s.nodes[mid]):
             assert padded.sigma.position_of(eid) <= mid
 
 
@@ -251,9 +278,9 @@ def test_settle_chain_tracks_estimates_at_any_time_order(random_case):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_flush_of_every_node_scans_what_the_build_scanned(seed, monkeypatch):
-    # A flush that re-solves every node repeats the build: each node scans
-    # the same edge list, a right child's narrowed to its parent's alive set.
-    # Every node gets an empty diff and fails the keep test.
+    # A flush that re-solves every node repeats the build: each node tests
+    # the same end map and reads the same alive edges from the timeline's
+    # in-edge index.  Every node gets an empty diff and fails the keep test.
     padded = prepare_for_build(generate(n=40, m=256, W=10, seed=seed, epsilon=0.5))
     s = build_offline(padded, with_entry_times=False)
     m = s.m
@@ -456,7 +483,7 @@ def test_alive_counts_match_stats(random_case):
     total = 0
     for mid in range(1, s.m):
         node = s.nodes[mid]
-        total += len(node.alive_edges)
+        total += len(s.alive_edges(node))
         for v in node.alive_estimates:
             per_vertex[v] += 1
     assert total == s.stats.total_alive_edges
@@ -563,7 +590,7 @@ def test_build_in_halves_equals_the_sequential_build(monkeypatch, workers, seed)
     right = range(padded.m // 2 + 1, padded.m)
     assert any(UNREACHABLE in built.nodes[mid].alive_estimates.values() for mid in right)
     assert structures_equal(built, expected)
-    assert all(built.nodes[mid].alive_edges == expected.nodes[mid].alive_edges for mid in range(1, padded.m))
+    assert all(built.alive_edges(built.nodes[mid]) == expected.alive_edges(expected.nodes[mid]) for mid in range(1, padded.m))
     assert built.entry_times == expected.entry_times
     assert vars(built.stats) == vars(expected.stats)
     bare = build_offline(padded, with_entry_times=False)

@@ -561,31 +561,52 @@ def test_recompute_base_equals_a_full_recompute_after_every_arrival(seed, n, m, 
     assert engine.matches_fresh_build()
 
 
-def _checked_delta_kept(kept):
-    """OfflineStructure._delta_kept, checked against a re-solve of each node it keeps.
+def _checked_repairs(patch, s, kept):
+    """Check every keep decision of s's repairs against the edges its stored versions saw.
 
-    The re-solve runs on the same inputs (ends, edge list, inherited
-    estimates), the stored node is put back, and the midpoint is appended
-    to kept.
+    stored[mid] is node mid's alive edge set as the timeline gave it when
+    the node was last solved or kept.  _node_kept must decide as it would
+    on those stored edges with no delta; a pending delta must turn them into
+    the edges the timeline gives now.  Each node _delta_kept keeps with a
+    delta is what _solve_node makes of the same inputs (ends, timeline,
+    inherited estimates); the stored node is put back and its midpoint is
+    appended to kept.
     """
-    delta_kept = OfflineStructure._delta_kept
+    stored = {mid: set(s.alive_edges(s.nodes[mid])) for mid in range(1, s.m)}
+    solve, node_kept, delta_kept = OfflineStructure._solve_node, OfflineStructure._node_kept, OfflineStructure._delta_kept
 
-    def checked(self, node, delta, above):
+    def solved(self, lo, hi, *args):
+        node = solve(self, lo, hi, *args)
+        if self is s:
+            stored[node.mid] = set(self.alive_edges(node))
+        return node
+
+    def checked_node_kept(self, node, lo_est, hi_est, diff):
+        decision = node_kept(self, node, lo_est, hi_est, diff)
+        self.alive_edges = lambda node: stored[node.mid]
+        try:
+            assert decision == node_kept(self, node, lo_est, hi_est, diff._replace(delta={}))
+        finally:
+            del self.alive_edges
+        return decision
+
+    def checked_delta_kept(self, node, delta, above):
+        mid, now = node.mid, set(self.alive_edges(node))
+        assert now == (stored[mid] - delta.keys()) | {eid for eid, gained in delta.items() if gained}
         if not delta_kept(self, node, delta, above):
             return False
         if delta:
-            mid = node.mid
             lo, hi = mid - (mid & -mid), mid + (mid & -mid)
-            sink = SolveCounters(self.n, self.m)
-            solved, _ = self._solve_node(lo, hi, *self._ends(lo, hi), self._edge_list(lo, hi), above, sink)
+            fresh = solve(self, lo, hi, *self._ends(lo, hi), above, SolveCounters(self.n, self.m))
             self.nodes[mid] = node
-            assert solved.alive_estimates == node.alive_estimates
-            gained = {eid for eid, g in delta.items() if g}
-            assert set(solved.alive_edges) == (set(node.alive_edges) - delta.keys()) | gained
+            assert fresh.alive_estimates == node.alive_estimates
             kept.append(mid)
+        stored[mid] = now
         return True
 
-    return checked
+    patch.setattr(OfflineStructure, "_solve_node", solved)
+    patch.setattr(OfflineStructure, "_node_kept", checked_node_kept)
+    patch.setattr(OfflineStructure, "_delta_kept", checked_delta_kept)
 
 
 @settings(max_examples=80, deadline=None)
@@ -598,8 +619,8 @@ def _checked_delta_kept(kept):
 )
 def test_kept_prefix_deltas_match_a_re_solve(seed, n, m, W, spec):
     # Each node the delta proof keeps is what _solve_node makes of the same
-    # inputs: equal estimates, and the stored alive edges with the delta
-    # applied.  Small weights make ties at the proof's bounds likely.
+    # inputs, and its delta is the change of its alive edges since its
+    # stored version.  Small weights make ties at the proof's bounds likely.
     triples = n * (n - 1) * W
     assume(m <= triples)
     inst = generate(n=n, m=m, W=W, seed=seed, epsilon=0.5)
@@ -608,7 +629,7 @@ def test_kept_prefix_deltas_match_a_re_solve(seed, n, m, W, spec):
     engine = start_online(inst, perturb(inst, spec))
     kept = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(OfflineStructure, "_delta_kept", _checked_delta_kept(kept))
+        _checked_repairs(patch, engine.structure, kept)
         for edge in engine.instance.sigma:
             engine.insert(edge)
         engine.flush()
@@ -623,7 +644,7 @@ def test_delta_proof_keeps_nodes_on_every_family():
         padded, engine = _replay(inst, kind, **kwargs)
         kept = []
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(OfflineStructure, "_delta_kept", _checked_delta_kept(kept))
+            _checked_repairs(patch, engine.structure, kept)
             for edge in padded.sigma:
                 engine.insert(edge)
             engine.flush()

@@ -24,7 +24,7 @@ def _structure_digest(s) -> str:
     h.update(repr((s.n, s.m, s.source, s.base_m)).encode())
     for mid in range(1, s.m):
         node = s.nodes[mid]
-        h.update(repr((mid, sorted(node.alive_estimates.items()), sorted(node.alive_edges))).encode())
+        h.update(repr((mid, sorted(node.alive_estimates.items()), sorted(s.alive_edges(node)))).encode())
     # Rows are stored coarsest cell first; the digests hash them finest first.
     h.update(repr(None if s.entry_times is None else [row[::-1] for row in s.entry_times]).encode())
     return h.hexdigest()
