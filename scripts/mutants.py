@@ -118,6 +118,21 @@ MUTANTS = [
         ("tests/test_offline.py", "-k", "halves_equals"),
     ),
     Mutant(
+        "halves-query-cells-not-merged",  # the rows lose every witness the worker's half found first
+        "incsp/offline.py",
+        "            cells[:] = map(min, cells, theirs)\n",
+        "",
+        ("tests/test_offline.py", "-k", "halves_equals"),
+    ),
+    Mutant(
+        "query-only-drops-a-node-before-its-subtree",  # folded and dropped as soon as it is settled
+        "incsp/offline.py",
+        "        node = self._settle(lo, hi, above, sink)\n        if hi - lo > 2:\n",
+        "        node = self._settle(lo, hi, above, sink)\n        if cells is not None:\n"
+        "            self._fold(node, cells)\n        if hi - lo > 2:\n",
+        ("tests/test_pinned.py", "-k", "offline_build"),
+    ),
+    Mutant(
         "recompute-base-skips-a-tight-drop",  # a dropped edge on a shortest path counts as off every one
         "incsp/offline.py",
         "base[dropped.tail] + dropped.weight > base[dropped.head]",

@@ -2,9 +2,9 @@
 
 Offline: one per-source build per vertex, all sharing one bucket table so
 estimates are mutually consistent.  Nothing repairs them and a query reads
-only entry rows, so a source keeps just a QueryTable (its entry rows and
-build counters, and the shared table); its recursion tree, end maps and
-repair state are garbage before the next source is built.  Online:
+only entry rows, so each source's build is query-only and gives just a
+QueryTable (its entry rows and build counters, and the shared table); no
+node of its recursion tree outlives the walk of its subtree.  Online:
 predictions must permute the true edge set; arrivals advance a frontier
 through the predicted order, and queries run Dijkstra on a small patch
 whose size is bounded by the count of arrived-but-not-yet-frontier-covered
@@ -89,7 +89,7 @@ def build_apsp(instance: ProblemInstance) -> ApspStructure:
     with forkpool.fork_pool(k - 1, padded, table) as pool:
         shares = [pool.submit(_build_share, range(i, n, k)) for i in range(1, k)]
         for s in range(0, n, k):
-            per_source[s] = _query_table(replace(padded, source=s), table)
+            per_source[s] = build_offline(replace(padded, source=s), table=table)
         shared: dict[int, int] = {}  # one int object per value loaded
         for i, share in enumerate(shares, 1):
             for s, record in zip(range(i, n, k), share.result()):
@@ -101,16 +101,10 @@ def build_apsp(instance: ProblemInstance) -> ApspStructure:
     return ApspStructure(per_source, table)
 
 
-def _query_table(instance: ProblemInstance, table) -> QueryTable:
-    """One source's build, reduced to its query tables; the tree dies on return."""
-    built = build_offline(instance, table=table)
-    return QueryTable(built.n, built.m, built.source, table, built.entry_times, built.stats)
-
-
 def _build_share(sources: range) -> list[bytes]:
     """In a pool worker: one pickle of (entry rows, SolveCounters) per source of the share."""
     instance, table = forkpool.inherited()
-    built = (_query_table(replace(instance, source=s), table) for s in sources)
+    built = (build_offline(replace(instance, source=s), table=table) for s in sources)
     return [pickle.dumps((q.entry_times, q.stats)) for q in built]
 
 

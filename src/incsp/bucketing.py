@@ -49,7 +49,7 @@ class BucketTable:
     # c = 0, else the c-th coarse value from the top.  Built with the table,
     # so every structure on it shares the tuple.
     answers: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    # coarse_cell_of_value of every finite value round_up_value returns:
+    # coarse_cell_of_value of every finite value the solver rounds to:
     # each fine grid point, and 0.0, which lies in cell 0 (no alive estimate
     # is 0.0, since only the source is at distance 0).  Built with the
     # table, so a node's estimates need no bisect.
@@ -67,21 +67,6 @@ class BucketTable:
     @property
     def k_coarse(self) -> int:
         return len(self.coarse) - 1
-
-    def round_up_value(self, value: float) -> float:
-        """Fine grid point >= value (0 and inf pass through).
-
-        Grid points round to themselves.  Values above the last threshold
-        map to inf; estimates produced by the engines never get there
-        because the grid covers the worst inflated distance.
-        """
-        if value < 0:
-            raise ValueError("distances are nonnegative")
-        if value == 0:
-            return 0.0
-        if value > self.fine[-1]:
-            return _INF
-        return self.fine[bisect_left(self.fine, value)]
 
     def coarse_cell_of_value(self, value: float) -> int:
         """Index of the smallest coarse threshold >= value."""

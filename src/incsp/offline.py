@@ -33,26 +33,29 @@ alive edges are the front of its list, cut by one bisect at mid.  Build and
 repair read the same edges, and nodes store none: alive_edges derives them
 from the timeline, which the online engine's corrections keep current.
 
+Query tables: each vertex's row records the earliest time its estimate
+lies in each coarse grid cell or a lower one, read from the time-m anchor
+and every node's alive estimates.  Only a node's own subtree reads the node,
+so a query-only build folds each node into witness cells once its subtree
+is done and drops it: it holds one root-to-leaf path of nodes plus the
+cells, and build_offline returns a QueryTable and keeps no tree.  A row is
+stored from the coarsest cell to the finest, so it is non-decreasing, and a
+query is one plain bisect: the number of entries at or below t indexes the
+answer.  QueryTable holds the rows, the bucket table and the counters;
+OfflineStructure, built without rows for the online engine, adds the tree,
+end maps and repair state.
+
 Building in two processes: below the root the two halves of the tree read
 only the root, the above array and the columns.  So from m = PARALLEL_MIN_M
 on, where forkpool has a spare worker, build_offline solves the root, then a
-forked worker builds the right half while the caller builds the left.  What
-crosses the pipe is the worker's half as flat arrays (per-node alive counts,
-vertex ids, and fine-grid indices with one code for inf), its SolveCounters
-and its half's entry-row witness cells; the caller rebuilds the nodes on its
-own grid floats, adds the counters and takes the cellwise min of the cells.
-A build inside a pool worker, or while the caller holds a pool open, never
-forks.
-
-Query tables: once the tree is built, each vertex's row records the
-earliest time its estimate lies in each coarse grid cell or a lower one,
-read from the time-m anchor and every node's alive estimates.  A row is
-stored from the coarsest cell to the finest, so it is non-decreasing, and
-a query is one plain bisect: the number of entries at or below t indexes
-the answer.  QueryTable holds the rows, the bucket table and the counters;
-OfflineStructure adds the tree, end maps and repair state.  Where nothing
-repairs a build (all-pairs keeps one per source), a QueryTable sharing its
-rows outlives the tree.
+forked worker builds the right half while the caller builds the left.  A
+query-only worker sends back only its SolveCounters and its half's witness
+cells as an array('I'); the caller adds the counters, takes the cellwise
+min of the cells and folds the root last.  A tree-keeping worker sends its
+counters and its half's nodes as flat arrays instead (per-node alive counts,
+vertex ids, and fine-grid indices with one code for inf), which the caller
+rebuilds on its own grid floats.  A build inside a pool worker, or while the
+caller holds a pool open, never forks.
 
 Repair: the online engine changes the structure only through mark_prefixes,
 recompute_base, settle_chain and flush, and repairs on demand (change
@@ -262,8 +265,8 @@ def dijkstra(adj, seeds: dict[int, float], bound: float = UNREACHABLE, last_hop=
 
 
 class QueryTable:
-    """One source's query tables without the tree: entry rows (None when not
-    kept), the BucketTable their cells index and the build's SolveCounters.
+    """One source's query tables without the tree: entry rows (None in an
+    OfflineStructure), the BucketTable their cells index and the build's SolveCounters.
     Row v lists v's entry times from the coarsest cell to the finest, so
     _answers[c], the answer when c of its entries are at or below t, is
     UNREACHABLE for c = 0 and the c-th coarse value from the top otherwise
@@ -323,7 +326,7 @@ def search_steps(length: int, index: int) -> int:
 
 
 class OfflineStructure(QueryTable):
-    """Recursion tree, end maps and repair state over one source's query tables."""
+    """Recursion tree, end maps and repair state of one source; it keeps no query tables (entry_times is None)."""
 
     def __init__(self, instance: ProblemInstance, table: BucketTable):
         m = instance.m
@@ -385,8 +388,9 @@ class OfflineStructure(QueryTable):
             if seed != UNREACHABLE:
                 seeds[v] = seed
 
-        # Rounded up onto the fine grid as BucketTable.round_up_value rounds;
-        # the search reaches only alive vertices, and the rest stay at inf.
+        # Rounded up to the least fine grid point at or above d (0 and inf
+        # stay, and a d above the grid becomes inf); the search reaches only
+        # alive vertices, and the rest stay at inf.
         fine = self.table.fine
         top, estimates = fine[-1], dict.fromkeys(alive, UNREACHABLE)
         for v, d in dijkstra(adj, seeds).items():
@@ -562,53 +566,58 @@ class OfflineStructure(QueryTable):
             self._push((mid + hi) // 2, moved, diff.hi, stale)
         return node
 
-    def _walk(self, lo: int, hi: int, above: list[float], sink: SolveCounters) -> None:
+    def _walk(self, lo: int, hi: int, above: list[float], sink: SolveCounters, cells: list[int] | None = None) -> None:
         """Settle the node covering [lo, hi], then its subtree, root first.
 
         above holds the node's inherited estimates; the node's own are
-        written into it for the recursion and restored afterwards.
+        written into it for the recursion and restored afterwards.  With
+        cells, a query-only build's witness cells, the node is folded into
+        them once its subtree is done, and dropped.
         """
         node = self._settle(lo, hi, above, sink)
-        if hi - lo <= 2:
-            return
-        mid = (lo + hi) // 2
-        estimates = node.alive_estimates
-        undo = [above[v] for v in estimates]
-        for v, value in estimates.items():
-            above[v] = value
-        self._walk(lo, mid, above, sink)
-        self._walk(mid, hi, above, sink)
-        for v, value in zip(estimates, undo):
-            above[v] = value
+        if hi - lo > 2:
+            mid = (lo + hi) // 2
+            estimates = node.alive_estimates
+            undo = [above[v] for v in estimates]
+            for v, value in estimates.items():
+                above[v] = value
+            self._walk(lo, mid, above, sink, cells)
+            self._walk(mid, hi, above, sink, cells)
+            for v, value in zip(estimates, undo):
+                above[v] = value
+        if cells is not None:
+            self._fold(node, cells)
 
-    def resolve_subtree(self, sink: SolveCounters) -> None:
-        """Build the tree: settle every node of the unbuilt tree, root first."""
-        self._walk(0, self.m, list(self.base_m), sink)
+    def resolve_subtree(self, sink: SolveCounters, cells: list[int] | None = None) -> None:
+        """Build the tree: settle every node of the unbuilt tree, root first (see _walk for cells)."""
+        self._walk(0, self.m, list(self.base_m), sink, cells)
 
-    def _build_in_halves(self, with_cells: bool) -> list[int] | None:
-        """Build the unbuilt tree in two processes; with_cells also returns every node's witness cells.
+    def _build_in_halves(self, cells: list[int] | None) -> None:
+        """Build the unbuilt tree in two processes; with cells, a query-only build into them.
 
         The caller solves the root, then one forkpool worker builds the
         right half while the caller builds the left half; both read only the
         root, the above array and the columns they share.  The worker sends
-        back its nodes encoded by _encode_nodes, its SolveCounters and its
-        witness cells; the caller decodes the nodes onto its own grid
-        floats, adds the counters and takes the cellwise min of the cells.
+        back its SolveCounters, which the caller adds, and either its half's
+        cells, which the caller merges by cellwise min before it folds the
+        root, or its nodes encoded by _encode_nodes, which the caller
+        decodes onto its own grid floats.
         """
         m, half, sink = self.m, self.m // 2, self.stats
         above = list(self.base_m)
         root = self._settle(0, m, above, sink)
         for v, value in root.alive_estimates.items():
             above[v] = value
-        right = range(half + 1, m)
-        with forkpool.fork_pool(1, self, above, with_cells) as pool:
+        with forkpool.fork_pool(1, self, above, cells) as pool:
             built = pool.submit(_build_right_half)
-            self._walk(0, half, above, sink)
-            cells = self._witness_cells(range(1, half + 1)) if with_cells else None
-            encoded, their_sink, their_cells = built.result()
-            self._decode_nodes(right, *encoded)
+            self._walk(0, half, above, sink, cells)
+            theirs, their_sink = built.result()
+            if cells is None:
+                self._decode_nodes(range(half + 1, m), *theirs)
         sink.add(their_sink)
-        return list(map(min, cells, their_cells)) if with_cells else None
+        if cells is not None:
+            cells[:] = map(min, cells, theirs)
+            self._fold(root, cells)
 
     def _encode_nodes(self, mids: range) -> tuple[array, array, array]:
         """The nodes at mids as three flat arrays, for a pipe.
@@ -726,22 +735,24 @@ class OfflineStructure(QueryTable):
 
     # -- query tables ----------------------------------------------------------
 
-    def _witness_cells(self, mids: range) -> list[int]:
-        """Cell v * len(coarse) + c: the earliest of mids at which v's estimate lies in coarse cell c (m + 1 when none does).
+    def _fold(self, node: RecursionNode, cells: list[int]) -> None:
+        """Fold node into the witness cells and drop it from the tree.
 
+        Cell v * len(coarse) + c keeps the earliest midpoint folded so far
+        at which v's estimate lies in coarse cell c (m + 1 while none).
         Alive estimates lie on the fine grid, so each cell is one lookup in
         the table's cell_of_fine; an estimate at inf lies in no cell.
         """
-        k, cell_of = len(self.table.coarse), self.table.cell_of_fine
-        cells = [self.m + 1] * (self.n * k)
-        for mid in reversed(mids):  # latest first, so each cell ends with its earliest witness
-            for v, value in self.nodes[mid].alive_estimates.items():
-                if value != UNREACHABLE:
-                    cells[v * k + cell_of[value]] = mid
-        return cells
+        mid, k, cell_of = node.mid, len(self.table.coarse), self.table.cell_of_fine
+        for v, value in node.alive_estimates.items():
+            if value != UNREACHABLE:
+                i = v * k + cell_of[value]
+                if mid < cells[i]:
+                    cells[i] = mid
+        self.nodes[mid] = None
 
-    def _entry_times_from_tree(self, cells: list[int]) -> list[list[int]]:
-        """Entry rows from the witness cells of every node (see _witness_cells).
+    def _entry_times(self, cells: list[int]) -> list[list[int]]:
+        """Entry rows from the witness cells of every node (see _fold).
 
         Row v holds, for each coarse cell, the earliest time at which v's
         estimate lies in that cell or a lower one (m + 1 when it never
@@ -770,13 +781,16 @@ def build_offline(
     instance: ProblemInstance,
     table: BucketTable | None = None,
     with_entry_times: bool = True,
-) -> OfflineStructure:
-    """Build the full structure for a padded instance.
+) -> QueryTable | OfflineStructure:
+    """Build a padded instance's query tables, or without them its tree.
 
-    A shared BucketTable may be passed in (the all-pairs engine builds n
-    structures against one table); it must match the instance parameters.
-    From m = PARALLEL_MIN_M on, where forkpool has a spare worker, the two
-    halves of the tree are built in two processes (see
+    with_entry_times gives a QueryTable, built query-only (no node outlives
+    its subtree's walk); without it, the tree-keeping OfflineStructure that
+    the online engine repairs, whose entry_times is None.  A shared
+    BucketTable may be passed in (the all-pairs engine builds n structures
+    against one table); it must match the instance parameters.  From m =
+    PARALLEL_MIN_M on, where forkpool has a spare worker, the two halves of
+    the tree are built in two processes (see
     OfflineStructure._build_in_halves); the result equals a sequential
     build node for node, row for row and counter for counter.
     """
@@ -791,29 +805,30 @@ def build_offline(
         raise ValueError("bucket table does not match the instance")
     structure = OfflineStructure(instance, table)
     structure.recompute_base()
+    cells = [instance.m + 1] * (instance.n * len(table.coarse)) if with_entry_times else None
     if instance.m >= PARALLEL_MIN_M and forkpool.spare_workers(1):
-        cells = structure._build_in_halves(with_entry_times)
+        structure._build_in_halves(cells)
     else:
-        structure.resolve_subtree(structure.stats)
-        cells = structure._witness_cells(range(1, instance.m)) if with_entry_times else None
-    if with_entry_times:
-        structure.entry_times = structure._entry_times_from_tree(cells)
-    return structure
+        structure.resolve_subtree(structure.stats, cells)
+    if cells is None:
+        return structure
+    rows = structure._entry_times(cells)
+    return QueryTable(structure.n, structure.m, structure.source, table, rows, structure.stats)
 
 
 def _build_right_half() -> tuple:
     """In a forkpool worker: build the right half of the inherited tree.
 
-    Returns its nodes as _encode_nodes encodes them, its SolveCounters and,
-    when asked, its witness cells as an array.
+    Returns its witness cells as an array when the build is query-only, else
+    its nodes as _encode_nodes encodes them; then its SolveCounters.
     """
-    structure, above, with_cells = forkpool.inherited()
+    structure, above, cells = forkpool.inherited()
     m, half = structure.m, structure.m // 2
     sink = SolveCounters(structure.n, m)
-    structure._walk(half, m, above, sink)
-    right = range(half + 1, m)
-    cells = array("I", structure._witness_cells(right)) if with_cells else None
-    return structure._encode_nodes(right), sink, cells
+    structure._walk(half, m, above, sink, cells)
+    if cells is None:
+        return structure._encode_nodes(range(half + 1, m)), sink
+    return array("I", cells), sink
 
 
 def structures_equal(a: OfflineStructure, b: OfflineStructure, mids=None) -> bool:

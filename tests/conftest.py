@@ -1,8 +1,11 @@
 from dataclasses import replace
+from itertools import accumulate
 
 import pytest
 
-from incsp.model import UNREACHABLE, align_prediction, parse_instance, prepare_for_build
+from incsp.model import (
+    UNREACHABLE, EdgeInsert, InsertSequence, ProblemInstance, align_prediction, parse_instance, prepare_for_build,
+)
 from incsp.offline import time_ancestors
 from incsp.oracle import _sandwich_violation, exact_rows
 
@@ -78,6 +81,41 @@ def estimate_at(structure, v: int, t: int) -> float:
     if lo == 0:
         return structure.base_m[v]
     return structure.nodes[chain[lo - 1]].alive_estimates[v]
+
+
+def entry_rows(tree) -> list[list[int]]:
+    """The entry rows a query-only build gives, computed from a tree-keeping build.
+
+    Row v holds, coarsest cell first, the earliest time t at which
+    estimate_at(tree, v, t) lies in each coarse cell or a lower one (m + 1
+    when it never does), found by resolving every (v, t) on its own.
+    """
+    table, m = tree.table, tree.m
+    rows = []
+    for v in range(tree.n):
+        first = [m + 1] * len(table.coarse)
+        for t in range(m, -1, -1):  # latest first, so each cell ends with its earliest time
+            est = estimate_at(tree, v, t)
+            if est != UNREACHABLE:
+                first[table.coarse_cell_of_value(est)] = t
+        rows.append(list(accumulate(first, min))[::-1])
+    return rows
+
+
+def staircase(m: int, epsilon: float = 0.5) -> ProblemInstance:
+    """A chain s -> x_K -> ... -> x_1, a path v_1 -> ... -> v_L, then x_1 -> v_1, ..., x_K -> v_1, in that order.
+
+    Every weight is 1, L = 2K and K = (m + 1) // 4, so a power-of-two m
+    holds m - 1 edges and pads to m.  Each cross edge lowers every path
+    vertex by one, so exact distances change about K * L times.  Vertex 0
+    is s, x_i is i and v_j is K + j.
+    """
+    k = (m + 1) // 4
+    triples = [(0, k, 1)] + [(i, i - 1, 1) for i in range(k, 1, -1)]
+    triples += [(k + j, k + j + 1, 1) for j in range(1, 2 * k)]
+    triples += [(i, k + 1, 1) for i in range(1, k + 1)]
+    edges = [EdgeInsert(eid, *triple) for eid, triple in enumerate(triples)]
+    return ProblemInstance(n=1 + 3 * k, W=1, epsilon=epsilon, source=0, sigma=InsertSequence(edges))
 
 
 def exact_apsp_table(instance) -> list[list[list[float]]]:

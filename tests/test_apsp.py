@@ -22,7 +22,7 @@ from incsp.apsp import OnlineApsp, build_apsp
 from incsp.bucketing import derive_internal_epsilon, make_table
 from incsp.metrics import compute_profile
 from incsp.model import UNREACHABLE, EdgeInsert, parse_instance, prepare_for_build
-from incsp.offline import build_offline, dijkstra
+from incsp.offline import OfflineStructure, build_offline, dijkstra
 from incsp.online import start_online
 from incsp.oracle import dijkstra_exact
 from incsp.workload import PerturbationSpec, generate, perturb
@@ -99,13 +99,13 @@ def test_build_apsp_keeps_no_tree(monkeypatch):
     # build_apsp returns: only its query tables are kept.  Trees a forked
     # worker builds die with it, so the caller sees only its own share's.
     refs = []
+    init = OfflineStructure.__init__
 
-    def tracked(*args, **kwargs):
-        structure = build_offline(*args, **kwargs)
-        refs.append(weakref.ref(structure))
-        return structure
+    def tracked(self, *args):
+        init(self, *args)
+        refs.append(weakref.ref(self))
 
-    monkeypatch.setattr(incsp.apsp, "build_offline", tracked)
+    monkeypatch.setattr(OfflineStructure, "__init__", tracked)
     inst = generate(n=30, m=256, W=16, seed=7, epsilon=0.5)
     for workers in (1, 3):
         monkeypatch.setattr(incsp.forkpool, "worker_count", lambda: workers)
@@ -225,7 +225,7 @@ def test_build_apsp_holds_a_fraction_of_the_trees():
     def trees():
         padded = prepare_for_build(inst)
         table = make_table(derive_internal_epsilon(padded.epsilon), padded.m, padded.n, padded.W)
-        return [build_offline(replace(padded, source=s), table=table) for s in range(padded.n)]
+        return [build_offline(replace(padded, source=s), table=table, with_entry_times=False) for s in range(padded.n)]
 
     assert 3 * _traced_bytes_held(lambda: build_apsp(inst)) <= _traced_bytes_held(trees)
 

